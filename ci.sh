@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
 # test suite with debug-checks active, clippy with warnings denied, a perf
-# smoke against the committed hot-path baselines, and an observability
-# smoke run. No network access required or attempted.
+# smoke against the committed hot-path baselines, an observability smoke
+# run, and a benchmark correctness smoke. No network access required or
+# attempted.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,5 +46,16 @@ for proto in bitar-despain illinois; do
   ./target/release/obsreport --experiment e2 --protocol "$proto" \
     --json-trace --out "$out"
   ./target/release/obsreport validate "$out"
+done
+
+# Benchmark correctness smoke: every simbench workload must reproduce its
+# golden Stats, JSONL and report digests, which the last output line
+# reports as `"correct": true`.
+for workload in dense_sharing lock_handoff observed_locks experiment_suite; do
+  last=$(python3 simbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "ci.sh: simbench $workload is not correct: $last" >&2; exit 1 ;;
+  esac
 done
 echo "ci.sh: all checks passed"

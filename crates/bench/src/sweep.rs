@@ -48,15 +48,25 @@ pub fn sweep<T: Sync, R: Send>(points: &[T], f: impl Fn(usize, &T) -> R + Sync) 
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i, &points[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = f(i, &points[i]);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
+                })
+            })
+            .collect();
+        // Join explicitly and re-raise the worker's own payload: left to
+        // the scope, a worker panic surfaces as a generic "a scoped thread
+        // panicked" instead of the grid point's message.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots

@@ -75,10 +75,14 @@ impl BusyWaitRegister {
 
     /// Observes that *another* cache won the post-unlock arbitration and
     /// re-locked `block`: a woken register goes back to armed and keeps
-    /// waiting off the bus.
-    pub fn observe_relock(&mut self, block: BlockAddr) {
+    /// waiting off the bus. Returns `true` if this register was woken on
+    /// that block and is now armed again.
+    pub fn observe_relock(&mut self, block: BlockAddr) -> bool {
         if self.phase == BwPhase::Woken && self.block == Some(block) {
             self.phase = BwPhase::Armed;
+            true
+        } else {
+            false
         }
     }
 
@@ -144,7 +148,7 @@ mod tests {
         r.observe_unlock(BlockAddr(3));
         assert!(r.wants_bus());
         // Another waiter won the arbitration and re-locked the block.
-        r.observe_relock(BlockAddr(3));
+        assert!(r.observe_relock(BlockAddr(3)));
         assert_eq!(r.phase(), BwPhase::Armed);
         assert!(!r.wants_bus());
         // The next unlock wakes it again.
@@ -156,7 +160,7 @@ mod tests {
         let mut r = BusyWaitRegister::new();
         r.arm(BlockAddr(3));
         r.observe_unlock(BlockAddr(3));
-        r.observe_relock(BlockAddr(9));
+        assert!(!r.observe_relock(BlockAddr(9)));
         assert_eq!(r.phase(), BwPhase::Woken);
     }
 }

@@ -90,17 +90,6 @@ impl IntervalSampler {
         self.add_span(start, len, |w, part| w.waiter_cycles += part);
     }
 
-    /// Attributes `len` cycles of `n` simultaneous lock-waiters waiting
-    /// from `start` — equivalent to `n` calls to
-    /// [`IntervalSampler::add_waiter_span`], with identical per-window
-    /// attribution, in one boundary-splitting pass.
-    pub fn add_waiter_spans(&mut self, start: u64, len: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.add_span(start, len, |w, part| w.waiter_cycles += part * n);
-    }
-
     fn add_span(&mut self, start: u64, len: u64, mut add: impl FnMut(&mut Window, u64)) {
         let mut cursor = start;
         let end = start.saturating_add(len);
@@ -214,17 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn waiter_multiplicity_equals_repeated_single_spans() {
-        let (start, len, window) = (730, 911, 256);
-        for n in [0u64, 1, 3, 17] {
-            let mut multi = IntervalSampler::new(window);
-            multi.add_waiter_spans(start, len, n);
-            let mut repeated = IntervalSampler::new(window);
-            for _ in 0..n {
-                repeated.add_waiter_span(start, len);
-            }
-            assert_eq!(multi, repeated, "n={n}");
+    fn cut_spans_in_any_order_equal_the_whole_span() {
+        // What per-phase crediting relies on: a waiter's span cut at phase
+        // boundaries and reported out of order attributes exactly like the
+        // uncut span.
+        let (start, window) = (730, 256);
+        let cuts = [730, 731, 900, 1024, 1025, 1400, 1641];
+        let mut whole = IntervalSampler::new(window);
+        whole.add_waiter_span(start, 1641 - start);
+        let mut pieces = IntervalSampler::new(window);
+        for pair in cuts.windows(2).rev() {
+            pieces.add_waiter_span(pair[0], pair[1] - pair[0]);
         }
+        assert_eq!(whole, pieces);
     }
 
     #[test]

@@ -31,16 +31,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Non-test engine code must not panic on `Option`/`Result`: every failure
-// is a typed `SimError`. Tests keep their unwraps. CI promotes these
-// warnings to errors via `cargo clippy -- -D warnings`.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Non-test engine code must not panic: every failure is a typed
+// `SimError`, including broken engine invariants. Tests keep their unwraps.
+// CI promotes these warnings to errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 mod config;
 mod crossbar;
 mod error;
 mod memory;
 mod oracle;
+mod sched;
 mod system;
 mod workload;
 

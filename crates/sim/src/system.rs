@@ -16,15 +16,32 @@
 //!
 //! # Time advance
 //!
-//! The engine runs in one of two [`EngineMode`]s. The cycle-accurate
-//! reference mode advances `now` one bus cycle at a time. The event-driven
-//! default computes the next *interesting* cycle — the earliest
-//! `Computing`/`InFlight` completion, the next arbitration slot (only when
-//! a request is actually queued), or a workload idle hint — and jumps
-//! straight there, converting the per-cycle busy/stall/lock-wait/useful-wait
-//! accounting into interval arithmetic. Both modes produce bit-identical
-//! [`Stats`] and [`Trace`] output (see `tests/equivalence.rs`); the
-//! event-driven mode merely skips the cycles on which nothing can happen.
+//! The engine runs in one of two [`EngineMode`]s over the same `step`. The
+//! cycle-accurate reference mode advances `now` one bus cycle at a time.
+//! The event-driven default jumps straight to the next *interesting*
+//! cycle: the top of the wake heap, the next arbitration slot (only when a
+//! request is queued), or the watchdog's next check. Both modes produce
+//! bit-identical [`Stats`] and [`Trace`] output (see
+//! `tests/equivalence.rs`); the event-driven mode merely skips the cycles
+//! on which nothing can happen.
+//!
+//! Every phase change goes through `set_phase`, which keeps the scheduling
+//! structures of [`crate::sched`] in step, so a step costs work in
+//! proportion to what happens in it, not to the processor count:
+//!
+//! - **Wake heap.** Each processor has at most one wake cycle: the `until`
+//!   of a `Computing`/`InFlight`/`Backoff` phase, a sleeping waiter's
+//!   busy-wait timeout, or a workload idle hint. A step pops the due ones
+//!   and handles them in ascending processor order.
+//! - **Processor sets.** Ready processors, pending requests, and woken and
+//!   watching busy-wait registers are bitsets. Arbitration walks them
+//!   round-robin from `rr` with `trailing_zeros`, visiting the same
+//!   candidates in the same order as a scan of every processor.
+//! - **Lazy accounting.** A phase's busy/stall/lock-wait/useful-wait cycles
+//!   are credited in closed form when it ends (and at the end of a run),
+//!   from the cycle it began; its lock-wait span goes to the interval
+//!   sampler at the same moment. Per-window sums do not depend on how the
+//!   spans are cut, so timelines match per-cycle accounting exactly.
 //!
 //! # Snoop filter
 //!
@@ -34,17 +51,19 @@
 //! validity) — maintained at the only two residency transitions, frame
 //! allocation and eviction. Snoop, snooper-update, and supplier scans walk
 //! just the mask's set bits (ascending, so ordering-sensitive effects are
-//! untouched); a parallel `watch_mask` of armed busy-wait registers filters
-//! unlock broadcasts the same way. A non-resident cache's snoop is a no-op
-//! and an idle register ignores every broadcast, so filtered and full
-//! scans are observationally identical — pinned by the equivalence suite
-//! run with the filter force-disabled, and by a per-transaction exactness
-//! assertion under the `debug-checks` feature.
+//! untouched). The watch set of armed or woken busy-wait registers filters
+//! unlock and relock broadcasts the same way, at any processor count. A
+//! non-resident cache's snoop is a no-op and an idle register ignores every
+//! broadcast, so filtered and full scans are observationally identical —
+//! pinned by the equivalence suite run with the filter force-disabled, and
+//! by a per-transaction exactness assertion under the `debug-checks`
+//! feature.
 
 use crate::config::{EngineMode, SystemConfig};
 use crate::error::{OracleViolation, SimError};
 use crate::memory::MainMemory;
 use crate::oracle::Oracle;
+use crate::sched::{Sched, Set};
 use crate::workload::{AccessResult, ScriptWorkload, WaitBehavior, WorkItem, Workload};
 use mcs_cache::{BusyWaitRegister, Cache, DirectoryModel, EvictedLine};
 use mcs_faults::{FaultState, FaultStats, Watchdog, WatchdogReport, WatchdogTrip};
@@ -52,8 +71,8 @@ use mcs_obs::{EventSink, IntervalSampler, LatencyHists};
 use std::collections::BTreeMap;
 use mcs_model::{
     AccessKind, Addr, AgentId, BlockAddr, BlockGeometry, BusOp, BusTxn, CacheId, CompleteOutcome,
-    EvictAction, Event, LineState, Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopSummary,
-    SourcePolicy, StateCause, Stats, TimingConfig, Trace, UpdateTarget, Word,
+    EvictAction, Event, LineState, Privilege, ProcAction, ProcId, ProcOp, ProcStats, Protocol,
+    SnoopSummary, SourcePolicy, StateCause, Stats, TimingConfig, Trace, UpdateTarget, Word,
 };
 
 /// Per-processor phase machine.
@@ -87,7 +106,6 @@ enum Phase {
         bus_op: BusOp,
         since: u64,
         behavior: WaitBehavior,
-        worked: u64,
         retries: u32,
         issued_at: u64,
         armed_at: u64,
@@ -103,6 +121,82 @@ enum Phase {
     },
     /// Program finished.
     Done,
+}
+
+impl Phase {
+    /// The processor set this phase belongs to, if any.
+    fn set(&self) -> Option<Set> {
+        match self {
+            Phase::Ready => Some(Set::Ready),
+            Phase::Pending { .. } => Some(Set::Pending),
+            _ => None,
+        }
+    }
+}
+
+/// Credits a phase that ran over `[since, now)` to its processor's
+/// statistics, in closed form, and its lock-waiter span to the interval
+/// sampler. Summing these spans per phase gives exactly what per-cycle
+/// accounting of the same phases gives.
+fn credit_phase(
+    phase: &Phase,
+    since: u64,
+    now: u64,
+    p: &mut ProcStats,
+    sampler: Option<&mut IntervalSampler>,
+) {
+    let span = now - since;
+    if span == 0 {
+        return;
+    }
+    let lock_wait = match phase {
+        Phase::Done => false,
+        Phase::Computing { .. } => {
+            p.busy_cycles += span;
+            false
+        }
+        Phase::Ready | Phase::InFlight { .. } => {
+            p.stall_cycles += span;
+            false
+        }
+        // Backing off is a stall; the lock wait keeps running.
+        Phase::Pending { wait_since, .. } | Phase::Backoff { wait_since, .. } => {
+            p.stall_cycles += span;
+            wait_since.is_some()
+        }
+        Phase::WaitingLock { behavior, .. } => {
+            // Work-while-waiting (Section E.4): the ready section supplies
+            // `c` cycles of useful work; the rest of the wait is a stall.
+            let work = match behavior {
+                WaitBehavior::WorkFor(c) => span.min(*c),
+                WaitBehavior::Spin => 0,
+            };
+            p.busy_cycles += work;
+            p.useful_wait_cycles += work;
+            p.stall_cycles += span - work;
+            true
+        }
+    };
+    if lock_wait {
+        p.lock_wait_cycles += span;
+        if let Some(s) = sampler {
+            s.add_waiter_span(since, span);
+        }
+    }
+}
+
+/// A request chosen by arbitration, with the fields of its queued
+/// operation.
+struct Grant {
+    proc: usize,
+    /// Granted at the reserved busy-wait-register priority.
+    hi: bool,
+    op: ProcOp,
+    bus_op: BusOp,
+    retries: u32,
+    wait_since: Option<u64>,
+    queued_at: u64,
+    issued_at: u64,
 }
 
 /// Iterator over the set bits of a bitmask, ascending.
@@ -240,18 +334,18 @@ pub struct System<P: Protocol> {
     hists: Option<LatencyHists>,
     /// Interval time-series sampler (`None` unless enabled in the config).
     sampler: Option<IntervalSampler>,
-    /// Per-processor cycle at which the busy-wait register last woke, for
-    /// arbitration-wait latency of high-priority re-acquisitions.
-    woken_at: Vec<u64>,
+    /// Per-processor phase machines; written only by `set_phase` (and
+    /// `reset_phases`), which keep `sched` in step.
     phases: Vec<Phase>,
+    /// Processor sets, per-processor clocks and the wake heap.
+    sched: Sched,
+    /// Number of processors in `Phase::Done`.
+    done: usize,
     /// Lock bits spilled to memory when a locked block had to be purged
     /// (Section E.3's minor modification): block -> (holder, waiter seen).
     /// Ordered map so iteration order can never make the engine modes (or
     /// two runs) diverge.
     memory_locks: BTreeMap<BlockAddr, (CacheId, bool)>,
-    /// Per-processor wakeup hints from [`WorkItem::IdleUntil`], refreshed
-    /// on every poll; `u64::MAX` means "no hint".
-    idle_hints: Vec<u64>,
     engine: EngineMode,
     now: u64,
     bus_free_at: u64,
@@ -268,9 +362,9 @@ pub struct System<P: Protocol> {
     /// Broadcast scans consult the holder bitmask (config on and
     /// maintainable).
     snoop_filter: bool,
-    /// Bit `i` set iff busy-wait register `i` is watching a block (armed or
-    /// woken); filters unlock/relock broadcasts.
-    watch_mask: u64,
+    /// Unlock/relock broadcasts visit only the watch set (config on; valid
+    /// at any processor count).
+    watch_filter: bool,
     /// Scratch buffer receiving evicted block data; reused across every
     /// eviction so the steady-state miss path allocates nothing.
     evict_buf: Vec<Word>,
@@ -334,10 +428,10 @@ impl<P: Protocol> System<P> {
             sinks: Vec::new(),
             hists: config.histograms().then(LatencyHists::default),
             sampler: config.timeline_window().map(IntervalSampler::new),
-            woken_at: vec![0; n],
             phases: vec![Phase::Ready; n],
+            sched: Sched::new(n),
+            done: 0,
             memory_locks: BTreeMap::new(),
-            idle_hints: vec![u64::MAX; n],
             engine: config.engine(),
             now: 0,
             bus_free_at: 0,
@@ -346,7 +440,7 @@ impl<P: Protocol> System<P> {
             sink_or_trace: false,
             track_holders,
             snoop_filter: config.snoop_filter() && track_holders,
-            watch_mask: 0,
+            watch_filter: config.snoop_filter(),
             evict_buf: Vec::with_capacity(geometry.words_per_block()),
             by_op_pending: [0; BUS_OP_SLOTS],
             faults: config.faults().cloned().map(FaultState::new),
@@ -551,29 +645,34 @@ impl<P: Protocol> System<P> {
 
     /// The main time loop: step the phase machines, then advance `now` —
     /// by one cycle in [`EngineMode::CycleAccurate`], or straight to the
-    /// next event in [`EngineMode::EventDriven`] — accounting the skipped
-    /// interval identically either way.
+    /// next event in [`EngineMode::EventDriven`]. Phases are credited as
+    /// they end; whatever is still open is credited when the loop exits,
+    /// on success or error alike.
     fn run_loop<W: Workload>(&mut self, workload: &mut W, max_cycles: u64) -> Result<bool, SimError> {
         self.reset_phases();
+        let result = self.advance(workload, max_cycles);
+        self.credit_open_phases();
+        result
+    }
+
+    /// Steps until every processor is done (`true`) or `max_cycles`
+    /// elapse (`false`).
+    fn advance<W: Workload>(&mut self, workload: &mut W, max_cycles: u64) -> Result<bool, SimError> {
         let deadline = self.now + max_cycles;
-        let mut completed = false;
         while self.now < deadline {
             let all_done = self.step(workload)?;
             self.watchdog_check()?;
-            let dt = if all_done || self.engine == EngineMode::CycleAccurate {
-                1
+            self.now = if all_done || self.engine == EngineMode::CycleAccurate {
+                self.now + 1
             } else {
-                self.next_event(deadline) - self.now
+                self.next_event(deadline)
             };
-            self.account(dt);
-            self.now += dt;
             self.stats.cycles = self.now;
             if all_done {
-                completed = true;
-                break;
+                return Ok(true);
             }
         }
-        Ok(completed)
+        Ok(false)
     }
 
     /// Runs a due forward-progress check. Only processors with an
@@ -644,26 +743,82 @@ impl<P: Protocol> System<P> {
         for reg in &mut self.registers {
             reg.disarm();
         }
-        self.watch_mask = 0;
+        self.sched.reset(self.now);
+        self.done = 0;
         if let Some(w) = &mut self.watchdog {
             w.reset(self.now);
         }
     }
 
-    /// Marks busy-wait register `i` as watching (mask capped at 64 bits;
-    /// beyond that the watch filter is simply never consulted).
-    #[inline]
-    fn set_watch(&mut self, i: usize) {
-        if i < 64 {
-            self.watch_mask |= 1 << i;
+    /// Credits every processor's open phase up to `now`.
+    fn credit_open_phases(&mut self) {
+        for (i, phase) in self.phases.iter().enumerate() {
+            let clock = &mut self.sched.clocks[i];
+            let p = &mut self.stats.per_proc[i];
+            credit_phase(phase, clock.since, self.now, p, self.sampler.as_mut());
+            clock.since = self.now;
         }
     }
 
-    /// Clears busy-wait register `i`'s watching bit.
+    /// The only writer of a processor's phase during a run. Credits the
+    /// phase being left, then moves the processor between the processor
+    /// sets and reschedules its wake for the new phase.
+    fn set_phase(&mut self, i: usize, new: Phase) {
+        let old = std::mem::replace(&mut self.phases[i], new);
+        let clock = &mut self.sched.clocks[i];
+        let p = &mut self.stats.per_proc[i];
+        credit_phase(&old, clock.since, self.now, p, self.sampler.as_mut());
+        clock.since = self.now;
+        let new = &self.phases[i];
+        if let Some(set) = old.set() {
+            self.sched.sets.remove(set, i);
+        }
+        if let Some(set) = new.set() {
+            self.sched.sets.insert(set, i);
+        }
+        self.done += usize::from(matches!(new, Phase::Done));
+        self.done -= usize::from(matches!(old, Phase::Done));
+        self.schedule(i);
+    }
+
+    /// Sets processor `i`'s wake to what its phase and busy-wait register
+    /// call for: the phase's `until`, or the busy-wait timeout of a waiter
+    /// whose register is armed but not woken.
+    fn schedule(&mut self, i: usize) {
+        let wake = match &self.phases[i] {
+            Phase::Computing { until }
+            | Phase::InFlight { until, .. }
+            | Phase::Backoff { until, .. } => *until,
+            Phase::WaitingLock { armed_at, .. } if !self.registers[i].wants_bus() => {
+                self.bw_timeout.map_or(u64::MAX, |t| armed_at + t)
+            }
+            _ => u64::MAX,
+        };
+        self.sched.set_wake(i, wake);
+    }
+
+    /// Arms busy-wait register `i` on `block` (a denied lock fetch).
+    fn arm_register(&mut self, i: usize, block: BlockAddr) {
+        self.registers[i].arm(block);
+        self.sched.sets.insert(Set::Watch, i);
+    }
+
+    /// Disarms busy-wait register `i` (lock granted, or wait timed out).
+    fn disarm_register(&mut self, i: usize) {
+        self.registers[i].disarm();
+        self.sched.sets.remove(Set::Watch, i);
+        self.sched.sets.remove(Set::Woken, i);
+    }
+
+    /// The next busy-wait register at or after `from` that an unlock or
+    /// relock broadcast must visit: the next watching one when the filter
+    /// is on, the next one otherwise.
     #[inline]
-    fn clear_watch(&mut self, i: usize) {
-        if i < 64 {
-            self.watch_mask &= !(1 << i);
+    fn next_watcher(&self, from: usize) -> Option<usize> {
+        if self.watch_filter {
+            self.sched.sets.next(Set::Watch, from)
+        } else {
+            (from < self.registers.len()).then_some(from)
         }
     }
 
@@ -678,135 +833,72 @@ impl<P: Protocol> System<P> {
         }
     }
 
-    /// Busy-wait registers an unlock/relock broadcast must visit.
-    #[inline]
-    fn watch_targets(&self) -> Targets {
-        if self.snoop_filter {
-            Targets::Mask(Bits(self.watch_mask))
-        } else {
-            Targets::All(0..self.registers.len())
-        }
-    }
-
     /// Advances the phase machines at the current cycle: delivers due
-    /// completions, arbitrates the bus, and hands ready processors work.
-    /// Returns `true` once every processor is done.
+    /// completions, times out sleeping waiters, arbitrates the bus, and
+    /// hands ready processors work. Returns `true` once every processor is
+    /// done.
     fn step<W: Workload>(&mut self, workload: &mut W) -> Result<bool, SimError> {
-        // 1. Deliver completions whose time has come.
-        for i in 0..self.phases.len() {
-            match &self.phases[i] {
-                Phase::InFlight { op, until, result } if *until <= self.now => {
-                    let (op, result) = (*op, *result);
-                    self.phases[i] = Phase::Ready;
+        // 1. Deliver completions whose time has come, in processor order.
+        self.sched.collect_due(self.now);
+        let mut due = self.sched.sets.next(Set::Due, 0);
+        while let Some(i) = due {
+            match self.phases[i] {
+                Phase::InFlight { op, result, .. } => {
+                    self.set_phase(i, Phase::Ready);
                     self.note_progress(i);
                     workload.complete(ProcId(i), &op, &result, self.now);
                 }
-                Phase::Computing { until } if *until <= self.now => {
-                    self.phases[i] = Phase::Ready;
-                }
-                Phase::Backoff { op, until, retries, wait_since, issued_at }
-                    if *until <= self.now =>
-                {
-                    let (op, retries, wait_since, issued_at) =
-                        (*op, *retries, *wait_since, *issued_at);
+                Phase::Computing { .. } => self.set_phase(i, Phase::Ready),
+                Phase::Backoff { op, retries, wait_since, issued_at, .. } => {
                     self.re_present_after_backoff(i, op, retries, wait_since, issued_at, workload)?;
                 }
                 _ => {}
             }
+            due = self.sched.sets.next(Set::Due, i + 1);
         }
 
         // 1b. Busy-wait timeout recovery: waiters whose register has heard
         // nothing for the configured budget give up on the (possibly lost)
         // unlock broadcast and fall back to explicit retries.
-        if self.bw_timeout.is_some() {
-            self.check_busy_wait_timeouts()?;
+        if let Some(timeout) = self.bw_timeout {
+            let mut due = self.sched.sets.next(Set::Due, 0);
+            while let Some(i) = due {
+                self.time_out_waiter(i, timeout)?;
+                due = self.sched.sets.next(Set::Due, i + 1);
+            }
         }
+        self.sched.sets.clear(Set::Due);
 
         // 2. Arbitrate if the bus is free.
         if self.bus_free_at <= self.now {
             self.try_grant(workload)?;
         }
 
-        // 3. Ready processors fetch work.
-        for i in 0..self.phases.len() {
-            self.idle_hints[i] = u64::MAX;
-            if matches!(self.phases[i], Phase::Ready) {
-                match workload.next(ProcId(i), self.now) {
-                    WorkItem::Done => self.phases[i] = Phase::Done,
-                    WorkItem::Idle => {} // stays Ready; counted as stall
-                    WorkItem::IdleUntil(t) => self.idle_hints[i] = t,
-                    WorkItem::Compute(c) => {
-                        self.phases[i] = Phase::Computing { until: self.now + c.max(1) };
-                    }
-                    WorkItem::Op(op) => self.present_op(i, op, workload)?,
+        // 3. Ready processors fetch work, in processor order.
+        let mut ready = self.sched.sets.next(Set::Ready, 0);
+        while let Some(i) = ready {
+            match workload.next(ProcId(i), self.now) {
+                WorkItem::Done => self.set_phase(i, Phase::Done),
+                // Stays Ready (counted as stall) and is polled again next
+                // step; an idle hint is a wake like any other.
+                WorkItem::Idle => self.sched.set_wake(i, u64::MAX),
+                WorkItem::IdleUntil(t) => self.sched.set_wake(i, t),
+                WorkItem::Compute(c) => {
+                    self.set_phase(i, Phase::Computing { until: self.now + c.max(1) });
                 }
+                WorkItem::Op(op) => self.present_op(i, op, workload)?,
             }
+            ready = self.sched.sets.next(Set::Ready, i + 1);
         }
 
-        Ok(self.phases.iter().all(|p| matches!(p, Phase::Done)))
-    }
-
-    /// Accounts an interval of `dt` cycles starting at `now`, during which
-    /// no phase machine changes state. With `dt == 1` this is exactly the
-    /// reference per-cycle accounting; the event-driven mode passes the
-    /// whole skipped interval at once.
-    fn account(&mut self, dt: u64) {
-        let mut lock_waiters = 0u64;
-        for i in 0..self.phases.len() {
-            let p = &mut self.stats.per_proc[i];
-            match &mut self.phases[i] {
-                Phase::Done => {}
-                Phase::Computing { .. } => p.busy_cycles += dt,
-                Phase::Ready => p.stall_cycles += dt, // idle
-                Phase::Pending { wait_since, .. } => {
-                    p.stall_cycles += dt;
-                    if wait_since.is_some() {
-                        p.lock_wait_cycles += dt;
-                        lock_waiters += 1;
-                    }
-                }
-                Phase::InFlight { .. } => p.stall_cycles += dt,
-                Phase::Backoff { wait_since, .. } => {
-                    // Backing off is a stall; the lock wait keeps running.
-                    p.stall_cycles += dt;
-                    if wait_since.is_some() {
-                        p.lock_wait_cycles += dt;
-                        lock_waiters += 1;
-                    }
-                }
-                Phase::WaitingLock { behavior, worked, .. } => {
-                    lock_waiters += 1;
-                    // Work-while-waiting (Section E.4): the ready section
-                    // supplies `c` cycles of useful work; the remainder of
-                    // the wait is a plain stall. The interval may straddle
-                    // the point where the ready section runs dry.
-                    p.lock_wait_cycles += dt;
-                    let work = match behavior {
-                        WaitBehavior::WorkFor(c) => dt.min(c.saturating_sub(*worked)),
-                        WaitBehavior::Spin => 0,
-                    };
-                    p.busy_cycles += work;
-                    p.useful_wait_cycles += work;
-                    *worked += work;
-                    p.stall_cycles += dt - work;
-                }
-            }
-        }
-        // Outstanding lock-waiters integral: each waiter contributes `dt`
-        // waiter-cycles over [now, now+dt), split across sample windows so
-        // event-driven skips attribute identically to per-cycle stepping.
-        // One multiplicity call covers all waiters at once.
-        if lock_waiters > 0 {
-            if let Some(s) = &mut self.sampler {
-                s.add_waiter_spans(self.now, dt, lock_waiters);
-            }
-        }
+        Ok(self.done == self.phases.len())
     }
 
     /// The next cycle at which a phase machine can change state: the
-    /// earliest `Computing`/`InFlight` completion, the next arbitration
+    /// earliest live wake (a `Computing`/`InFlight`/`Backoff` completion, a
+    /// busy-wait timeout, or a workload idle hint), the next arbitration
     /// slot (only when a request is queued or a woken busy-wait register
-    /// wants the bus), or a workload idle hint — clamped to
+    /// wants the bus), or the watchdog's next check — clamped to
     /// `[now + 1, deadline]`.
     ///
     /// Between `now` and the returned cycle, every `step` would be a
@@ -814,33 +906,13 @@ impl<P: Protocol> System<P> {
     /// free bus), and ready processors would keep answering `Idle` —
     /// which the [`WorkItem::Idle`] contract guarantees is side-effect
     /// free. Skipping straight there is therefore behaviour-preserving.
-    fn next_event(&self, deadline: u64) -> u64 {
+    fn next_event(&mut self, deadline: u64) -> u64 {
         let floor = self.now + 1;
         let mut t = deadline;
-        let mut bus_wanted = false;
-        for (i, phase) in self.phases.iter().enumerate() {
-            match phase {
-                Phase::Computing { until }
-                | Phase::InFlight { until, .. }
-                | Phase::Backoff { until, .. } => {
-                    t = t.min((*until).max(floor));
-                }
-                Phase::Pending { .. } => bus_wanted = true,
-                Phase::WaitingLock { .. } if self.registers[i].wants_bus() => bus_wanted = true,
-                Phase::WaitingLock { armed_at, .. } => {
-                    // A sleeping waiter only becomes interesting at its
-                    // busy-wait timeout (when recovery is configured).
-                    if let Some(to) = self.bw_timeout {
-                        t = t.min((armed_at + to).max(floor));
-                    }
-                }
-                _ => {}
-            }
-            if self.idle_hints[i] != u64::MAX {
-                t = t.min(self.idle_hints[i].max(floor));
-            }
+        if let Some(wake) = self.sched.next_wake() {
+            t = t.min(wake.max(floor));
         }
-        if bus_wanted {
+        if !self.sched.sets.is_empty(Set::Pending) || !self.sched.sets.is_empty(Set::Woken) {
             t = t.min(self.bus_free_at.max(floor));
         }
         // The watchdog's scheduled check is an event too: a fully quiet
@@ -851,50 +923,48 @@ impl<P: Protocol> System<P> {
         t.max(floor)
     }
 
-    /// Scans for busy-wait registers that have been armed longer than the
-    /// configured timeout without hearing an unlock, and converts each
-    /// into an explicit retry after a bounded-exponential backoff
+    /// Times out processor `i`'s busy-wait if its register has been armed
+    /// for the configured timeout without hearing an unlock: the waiter
+    /// falls back to an explicit retry after a bounded-exponential backoff
     /// (measured in bus signal-transaction durations). The retry counts
     /// against the livelock bound so a permanently-lost lock still
     /// terminates with a typed error.
-    fn check_busy_wait_timeouts(&mut self) -> Result<(), SimError> {
-        let Some(timeout) = self.bw_timeout else { return Ok(()) };
-        for i in 0..self.phases.len() {
-            let (op, since, retries, issued_at) = match &self.phases[i] {
-                Phase::WaitingLock { op, since, retries, issued_at, armed_at, .. }
-                    if !self.registers[i].wants_bus() && self.now >= *armed_at + timeout =>
-                {
-                    (*op, *since, *retries, *issued_at)
-                }
-                _ => continue,
-            };
-            if retries + 1 > self.retry_bound {
-                return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
+    fn time_out_waiter(&mut self, i: usize, timeout: u64) -> Result<(), SimError> {
+        let Phase::WaitingLock { op, since, retries, issued_at, armed_at, .. } = self.phases[i]
+        else {
+            return Ok(());
+        };
+        if self.registers[i].wants_bus() || self.now < armed_at + timeout {
+            return Ok(());
+        }
+        if retries + 1 > self.retry_bound {
+            return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
+        }
+        self.disarm_register(i);
+        let block = self.geometry.block_of(op.addr);
+        self.emit(self.now, || Event::WaiterTimeout {
+            cache: CacheId(i),
+            block,
+            retries: retries + 1,
+        });
+        let backoff_txns = match &mut self.faults {
+            Some(f) => {
+                f.note_busy_wait_timeout();
+                f.plan().backoff_txns(retries)
             }
-            self.registers[i].disarm();
-            self.clear_watch(i);
-            let block = self.geometry.block_of(op.addr);
-            self.emit(self.now, || Event::WaiterTimeout {
-                cache: CacheId(i),
-                block,
-                retries: retries + 1,
-            });
-            let backoff_txns = match &mut self.faults {
-                Some(f) => {
-                    f.note_busy_wait_timeout();
-                    f.plan().backoff_txns(retries)
-                }
-                None => 1,
-            };
-            let hold = backoff_txns.saturating_mul(self.timing.signal_txn()).max(1);
-            self.phases[i] = Phase::Backoff {
+            None => 1,
+        };
+        let hold = backoff_txns.saturating_mul(self.timing.signal_txn()).max(1);
+        self.set_phase(
+            i,
+            Phase::Backoff {
                 op,
                 until: self.now + hold,
                 retries: retries + 1,
                 wait_since: Some(since),
                 issued_at,
-            };
-        }
+            },
+        );
         Ok(())
     }
 
@@ -920,17 +990,17 @@ impl<P: Protocol> System<P> {
                     h.miss_service.record(self.now - issued_at + 1);
                 }
                 self.apply_local_hit(i, op, state, next, waited, workload)?;
-                self.phases[i] = Phase::Computing { until: self.now + 1 };
+                self.set_phase(i, Phase::Computing { until: self.now + 1 });
             }
             ProcAction::Bus { op: bus_op } => {
-                self.phases[i] = Phase::Pending {
+                self.set_phase(i, Phase::Pending {
                     op,
                     bus_op,
                     retries,
                     wait_since,
                     queued_at: self.now,
                     issued_at,
-                };
+                });
             }
         }
         Ok(())
@@ -963,14 +1033,14 @@ impl<P: Protocol> System<P> {
         {
             self.stats.per_proc[i].misses += 1;
             self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-            self.phases[i] = Phase::Pending {
+            self.set_phase(i, Phase::Pending {
                 op,
                 bus_op: BusOp::UnlockBroadcast,
                 retries: 0,
                 wait_since: None,
                 queued_at: self.now,
                 issued_at: self.now,
-            };
+            });
             return Ok(());
         }
         // The conditional store (optimistic RMW, method 3, Section F.3):
@@ -990,7 +1060,7 @@ impl<P: Protocol> System<P> {
             let result = AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
             self.note_progress(i);
             workload.complete(ProcId(i), &op, &result, self.now);
-            self.phases[i] = Phase::Computing { until: self.now + 1 };
+            self.set_phase(i, Phase::Computing { until: self.now + 1 });
             return Ok(());
         }
         match self.protocol.proc_access(state, effective_kind) {
@@ -998,19 +1068,19 @@ impl<P: Protocol> System<P> {
                 self.stats.per_proc[i].hits += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: true });
                 self.apply_local_hit(i, op, state, next, 0, workload)?;
-                self.phases[i] = Phase::Computing { until: self.now + 1 };
+                self.set_phase(i, Phase::Computing { until: self.now + 1 });
             }
             ProcAction::Bus { op: bus_op } => {
                 self.stats.per_proc[i].misses += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-                self.phases[i] = Phase::Pending {
+                self.set_phase(i, Phase::Pending {
                     op,
                     bus_op,
                     retries: 0,
                     wait_since: None,
                     queued_at: self.now,
                     issued_at: self.now,
-                };
+                });
             }
         }
         Ok(())
@@ -1101,53 +1171,64 @@ impl<P: Protocol> System<P> {
         Ok(())
     }
 
-    /// Picks and executes at most one bus transaction.
-    fn try_grant<W: Workload>(&mut self, workload: &mut W) -> Result<(), SimError> {
-        let n = self.phases.len();
-        // Reserved high-priority level: woken busy-wait registers
-        // (Figure 9). Then normal requests, round-robin fair.
-        let mut chosen: Option<(usize, bool)> = None;
-        for off in 0..n {
-            let i = (self.rr + off) % n;
-            if matches!(self.phases[i], Phase::WaitingLock { .. }) && self.registers[i].wants_bus()
-            {
-                // Fault choke point: an unfair arbiter skips its victim.
-                if self.faults.as_mut().is_some_and(|f| f.take_starved_grant(i)) {
-                    continue;
-                }
-                chosen = Some((i, true));
-                break;
-            }
-        }
-        if chosen.is_none() {
-            for off in 0..n {
-                let i = (self.rr + off) % n;
-                if matches!(self.phases[i], Phase::Pending { .. }) {
-                    if self.faults.as_mut().is_some_and(|f| f.take_starved_grant(i)) {
-                        continue;
-                    }
-                    chosen = Some((i, false));
-                    break;
-                }
-            }
-        }
-        let Some((i, hi)) = chosen else { return Ok(()) };
-        self.rr = (i + 1) % n;
-
-        let (op, bus_op, retries, wait_since, queued_at, issued_at) = match &self.phases[i] {
-            Phase::Pending { op, bus_op, retries, wait_since, queued_at, issued_at } => {
-                (*op, *bus_op, *retries, *wait_since, *queued_at, *issued_at)
+    /// Processor `i`'s request at the given priority, if it has one: a
+    /// queued `Pending` operation, or (`hi`) the lock fetch of a woken
+    /// busy-wait register.
+    fn request_of(&self, i: usize, hi: bool) -> Option<Grant> {
+        match (hi, &self.phases[i]) {
+            (false, &Phase::Pending { op, bus_op, retries, wait_since, queued_at, issued_at }) => {
+                Some(Grant { proc: i, hi, op, bus_op, retries, wait_since, queued_at, issued_at })
             }
             // A woken busy-wait register re-arbitrates from its wakeup
             // cycle, so that is when its (high-priority) queue wait began.
-            Phase::WaitingLock { op, bus_op, since, retries, issued_at, .. } => {
-                (*op, *bus_op, *retries, Some(*since), self.woken_at[i], *issued_at)
+            (true, &Phase::WaitingLock { op, bus_op, since, retries, issued_at, .. }) => Some(Grant {
+                proc: i,
+                hi,
+                op,
+                bus_op,
+                retries,
+                wait_since: Some(since),
+                queued_at: self.sched.clocks[i].woken_at,
+                issued_at,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Round-robin arbitration over `set`: the first member holding a
+    /// request at priority `hi`, starting from `rr` and wrapping around.
+    fn pick(&mut self, set: Set, hi: bool) -> Option<Grant> {
+        let n = self.phases.len();
+        let (mut from, mut end) = (self.rr, n);
+        loop {
+            match self.sched.sets.next(set, from).filter(|&i| i < end) {
+                Some(i) => {
+                    from = i + 1;
+                    let Some(grant) = self.request_of(i, hi) else { continue };
+                    // Fault choke point: an unfair arbiter skips its victim.
+                    if self.faults.as_mut().is_some_and(|f| f.take_starved_grant(i)) {
+                        continue;
+                    }
+                    return Some(grant);
+                }
+                None if end == n && self.rr > 0 => (from, end) = (0, self.rr),
+                None => return None,
             }
-            _ => unreachable!("chosen processor has a request"),
+        }
+    }
+
+    /// Picks and executes at most one bus transaction.
+    fn try_grant<W: Workload>(&mut self, workload: &mut W) -> Result<(), SimError> {
+        // Reserved high-priority level: woken busy-wait registers
+        // (Figure 9). Then normal requests, round-robin fair.
+        let Some(grant) = self.pick(Set::Woken, true).or_else(|| self.pick(Set::Pending, false))
+        else {
+            return Ok(());
         };
+        let Grant { proc: i, hi, op, bus_op, retries, wait_since, queued_at, issued_at } = grant;
+        self.rr = (i + 1) % self.phases.len();
         if hi {
-            self.registers[i].disarm();
-            self.clear_watch(i);
+            self.disarm_register(i);
             self.stats.locks.wakeups += 1;
         }
         // Lock wait accumulated so far and arbitration wait for this grant;
@@ -1176,9 +1257,16 @@ impl<P: Protocol> System<P> {
                     if let Some(h) = &mut self.hists {
                         h.miss_service.record(self.now + duration - issued_at);
                     }
-                    self.phases[i] = Phase::InFlight { op, until: self.now + duration, result };
+                    self.set_phase(i, Phase::InFlight { op, until: self.now + duration, result });
                 }
-                _ => unreachable!("unlock broadcasts always complete"),
+                _ => {
+                    return Err(SimError::EngineInvariant {
+                        context: "spilled-lock unlock broadcast did not complete",
+                        cycle: self.now,
+                        cache: CacheId(i),
+                        block,
+                    })
+                }
             }
             return Ok(());
         }
@@ -1192,7 +1280,7 @@ impl<P: Protocol> System<P> {
             let result = AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
             self.note_progress(i);
             workload.complete(ProcId(i), &op, &result, self.now);
-            self.phases[i] = Phase::Computing { until: self.now + 1 };
+            self.set_phase(i, Phase::Computing { until: self.now + 1 });
             return Ok(());
         }
         let effective_kind =
@@ -1206,7 +1294,7 @@ impl<P: Protocol> System<P> {
                     h.miss_service.record(self.now - issued_at + 1);
                 }
                 self.apply_local_hit(i, op, state, next, waited, workload)?;
-                self.phases[i] = Phase::Computing { until: self.now + 1 };
+                self.set_phase(i, Phase::Computing { until: self.now + 1 });
                 return Ok(());
             }
         };
@@ -1227,8 +1315,7 @@ impl<P: Protocol> System<P> {
                 if let Some(h) = &mut self.hists {
                     h.miss_service.record(self.now + duration - issued_at);
                 }
-                self.phases[i] =
-                    Phase::InFlight { op, until: self.now + duration, result };
+                self.set_phase(i, Phase::InFlight { op, until: self.now + duration, result });
             }
             TxnOut::InstalledRetry { duration } => {
                 self.stats.bus.busy_cycles += duration;
@@ -1243,14 +1330,14 @@ impl<P: Protocol> System<P> {
                 let new_state = self.caches[i].state_of(block);
                 match self.protocol.proc_access(new_state, op.kind) {
                     ProcAction::Bus { op: bus_op2 } => {
-                        self.phases[i] = Phase::Pending {
+                        self.set_phase(i, Phase::Pending {
                             op,
                             bus_op: bus_op2,
                             retries: retries + 1,
                             wait_since,
                             queued_at: self.now,
                             issued_at,
-                        };
+                        });
                     }
                     ProcAction::Hit { next } => {
                         // The second half completes locally (rare).
@@ -1258,7 +1345,7 @@ impl<P: Protocol> System<P> {
                             h.miss_service.record(self.now + duration - issued_at);
                         }
                         self.apply_local_hit(i, op, new_state, next, waited, workload)?;
-                        self.phases[i] = Phase::Computing { until: self.now + duration };
+                        self.set_phase(i, Phase::Computing { until: self.now + duration });
                     }
                 }
             }
@@ -1269,34 +1356,32 @@ impl<P: Protocol> System<P> {
                 }
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
-                self.phases[i] = Phase::Pending {
+                self.set_phase(i, Phase::Pending {
                     op,
                     bus_op,
                     retries: retries + 1,
                     wait_since,
                     queued_at: self.now,
                     issued_at,
-                };
+                });
             }
             TxnOut::Denied { duration } => {
                 let block = self.geometry.block_of(op.addr);
                 self.stats.locks.denied += 1;
-                self.registers[i].arm(block);
-                self.set_watch(i);
+                self.arm_register(i, block);
                 self.emit(self.now, || Event::WaiterArmed { cache: CacheId(i), block });
                 let behavior = workload.on_lock_wait(ProcId(i), block, self.now);
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
-                self.phases[i] = Phase::WaitingLock {
+                self.set_phase(i, Phase::WaitingLock {
                     op,
                     bus_op,
                     since: wait_since.unwrap_or(self.now),
                     behavior,
-                    worked: 0,
                     retries,
                     issued_at,
                     armed_at: self.now,
-                };
+                });
             }
         }
         Ok(())
@@ -1418,10 +1503,15 @@ impl<P: Protocol> System<P> {
         match bus_op {
             BusOp::UnlockBroadcast => self.broadcast_unlock(block, req),
             BusOp::Fetch { privilege: Privilege::Lock, .. } => {
-                for j in self.watch_targets() {
-                    if j != req {
-                        self.registers[j].observe_relock(block);
+                // A woken register that lost the race sleeps again; its
+                // busy-wait timeout (if any) is back on the wake heap.
+                let mut next = self.next_watcher(0);
+                while let Some(j) = next {
+                    if j != req && self.registers[j].observe_relock(block) {
+                        self.sched.sets.remove(Set::Woken, j);
+                        self.schedule(j);
                     }
+                    next = self.next_watcher(j + 1);
                 }
             }
             _ => {}
@@ -1805,9 +1895,9 @@ impl<P: Protocol> System<P> {
             && matches!(bus_op, BusOp::Fetch { privilege: Privilege::Lock, .. })
             && !after_d.is_locked()
         {
-            let any_armed = self
-                .watch_targets()
-                .any(|j| j != req && self.registers[j].watching() == Some(block));
+            let any_armed =
+                std::iter::successors(self.next_watcher(0), |&j| self.next_watcher(j + 1))
+                    .any(|j| j != req && self.registers[j].watching() == Some(block));
             if any_armed {
                 self.stats.bus.unlock_broadcasts += 1;
                 duration += self.timing.signal_txn();
@@ -1820,7 +1910,7 @@ impl<P: Protocol> System<P> {
     }
 
     /// Notifies all armed busy-wait registers that `block` was unlocked.
-    /// Only registers in the watch mask can react, so the broadcast visits
+    /// Only registers in the watch set can react, so the broadcast visits
     /// just those.
     fn broadcast_unlock(&mut self, block: BlockAddr, req: usize) {
         // Fault choke point: the broadcast is lost. The lock state still
@@ -1837,11 +1927,16 @@ impl<P: Protocol> System<P> {
                 return;
             }
         }
-        for j in self.watch_targets() {
+        let mut next = self.next_watcher(0);
+        while let Some(j) = next {
             if j != req && self.registers[j].observe_unlock(block) {
-                self.woken_at[j] = self.now;
+                self.sched.clocks[j].woken_at = self.now;
+                self.sched.sets.insert(Set::Woken, j);
+                // Awake, the register wants the bus; no timeout applies.
+                self.schedule(j);
                 self.emit(self.now, || Event::WaiterWoken { cache: CacheId(j), block });
             }
+            next = self.next_watcher(j + 1);
         }
     }
 

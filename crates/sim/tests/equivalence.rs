@@ -179,6 +179,30 @@ fn critical_section_with_ready_sections_equivalent() {
 }
 
 #[test]
+fn lock_handoff_equivalent_at_64_and_130_processors() {
+    // The processor sets are word arrays: 130 processors span three words,
+    // so round-robin arbitration from `rr` wraps across word boundaries,
+    // and above 64 the holder masks give way to unfiltered snoops while
+    // the watch set keeps filtering unlock broadcasts.
+    for procs in [64, 130] {
+        for kind in [ProtocolKind::BitarDespain, ProtocolKind::Illinois] {
+            assert_equivalent(kind, procs, || {
+                CriticalSectionWorkload::builder()
+                    .scheme(scheme_for(kind))
+                    .words_per_block(4)
+                    .locks(1)
+                    .payload_blocks(1)
+                    .payload_reads(1)
+                    .payload_writes(1)
+                    .think_cycles(40)
+                    .iterations(1)
+                    .build()
+            });
+        }
+    }
+}
+
+#[test]
 fn random_sharing_equivalent_on_all_protocols() {
     for kind in ProtocolKind::ALL {
         assert_equivalent(kind, 4, || {

@@ -389,3 +389,70 @@ fn report_reflects_disabled_layers() {
     assert!(report.watchdog.is_none());
     assert_eq!(report.stats.bus.naks, 0, "no NAKs without the fault layer");
 }
+
+/// A woken busy-wait register that loses the lock to another cache goes
+/// back to sleep. If its timeout deadline (`armed_at + timeout`) passed
+/// while it was awake, it must time out on the very next step — the
+/// deadline has to be rescheduled on the woken → armed edge, not only when
+/// the register is first armed. Identical in both engine modes.
+#[test]
+fn relocked_register_past_its_deadline_times_out_next_step() {
+    use mcs_model::{Addr, AgentId, BusOp, CacheId, Privilege, ProcId, ProcOp, Word};
+    use mcs_sim::ParallelScriptWorkload;
+    use mcs_sim::ScriptStep::{Compute, Op};
+
+    // P0 holds the lock for ~100 cycles. P2, then P1, are denied and
+    // sleep. P0's unlock wakes both; P1 wins the high-priority round robin
+    // (it follows P0) and re-locks the block, sending P2 back to sleep.
+    let lock = Addr(0);
+    let run = |mode, timeout: Option<u64>| {
+        let critical = |before: u64, value: u64| {
+            vec![Compute(before), Op(ProcOp::lock_read(lock)), Op(ProcOp::unlock_write(lock, Word(value)))]
+        };
+        let mut w = ParallelScriptWorkload::new()
+            .program(ProcId(0), vec![Op(ProcOp::lock_read(lock)), Compute(100), Op(ProcOp::unlock_write(lock, Word(1)))])
+            .program(ProcId(1), critical(20, 2))
+            .program(ProcId(2), critical(10, 3));
+        let mut cfg = SystemConfig::new(3)
+            .with_cache(CacheConfig::fully_associative(64, 4).expect("valid cache"))
+            .with_engine(mode)
+            .with_trace(true);
+        if let Some(t) = timeout {
+            cfg = cfg.with_faults(FaultPlan::new(1).busy_wait_timeout(t));
+        }
+        let mut sys = System::new(mcs_core::BitarDespain, cfg).expect("valid system");
+        let report = sys.run(&mut w, MAX_CYCLES).expect("the run completes");
+        assert!(report.completed && w.finished(), "({mode:?}) scripts did not finish");
+        (report.stats, sys.trace().to_vec())
+    };
+    // The cycle of the first event at or after `from` matching `pred`.
+    let first_from = |trace: &[(u64, Event)], from: u64, pred: &dyn Fn(&Event) -> bool| {
+        trace.iter().find(|(c, e)| *c >= from && pred(e)).map(|(c, _)| *c).expect("event in trace")
+    };
+    let first = |trace: &[(u64, Event)], pred: &dyn Fn(&Event) -> bool| first_from(trace, 0, pred);
+    let p2 = CacheId(2);
+    let armed = |e: &Event| matches!(e, Event::WaiterArmed { cache, .. } if *cache == p2);
+    let woken = |e: &Event| matches!(e, Event::WaiterWoken { cache, .. } if *cache == p2);
+    let relock = |e: &Event| {
+        matches!(e, Event::Bus { txn, .. }
+            if txn.requester == AgentId::Cache(CacheId(1))
+                && matches!(txn.op, BusOp::Fetch { privilege: Privilege::Lock, .. }))
+    };
+
+    // Learn the schedule without a timeout, then set the timeout so P2's
+    // deadline falls one cycle after its wakeup, while it is still awake.
+    let (_, dry) = run(EngineMode::EventDriven, None);
+    let deadline = first(&dry, &woken) + 1;
+    let timeout = deadline - first(&dry, &armed);
+
+    let (stats, trace) = run(EngineMode::EventDriven, Some(timeout));
+    let (ca_stats, ca_trace) = run(EngineMode::CycleAccurate, Some(timeout));
+    assert_eq!(stats, ca_stats, "engine modes diverged");
+    assert_eq!(trace, ca_trace, "engine modes traced different events");
+    let woken_at = first(&trace, &woken);
+    assert!(woken_at < deadline, "P2 must wake before its deadline");
+    let relocked_at = first_from(&trace, woken_at, &relock);
+    assert!(relocked_at >= deadline, "the relock must come at or after the deadline");
+    let timed_out = first(&trace, &|e| matches!(e, Event::WaiterTimeout { cache, .. } if *cache == p2));
+    assert_eq!(timed_out, relocked_at + 1, "a relocked register past its deadline times out on the next step");
+}
