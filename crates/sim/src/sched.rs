@@ -13,10 +13,13 @@
 //!   arbitration from any point costs one `trailing_zeros` per candidate.
 //! - [`Clock`]: when the current phase began (its cycles are credited in
 //!   closed form when it ends) and when the processor next needs a step.
-//! - The wake heap: a `(cycle, processor, stamp)` min-heap of those wake
-//!   cycles. Changing a processor's wake bumps its stamp instead of
-//!   searching the heap, so superseded entries are dropped when they
-//!   surface.
+//! - The wake heap: a min-heap of those wake cycles, keyed by `(cycle,
+//!   processor, stamp)` packed into one `u128`. Changing a processor's
+//!   wake bumps its stamp instead of searching the heap, so superseded
+//!   entries are dropped when they surface. Wakes due at the very next
+//!   step (a one-cycle compute after a hit, the commonest wake by far)
+//!   skip the heap: they go to a bitset that becomes the due set when
+//!   that step begins.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,13 +37,19 @@ pub(crate) enum Set {
     /// Busy-wait registers watching a block (armed or woken); the only
     /// ones an unlock or relock broadcast must visit.
     Watch,
-    /// Processors whose wake cycle has come, gathered at the start of a
-    /// step and emptied before it ends.
+    /// Sleeping waiters whose busy-wait timeout came up this step,
+    /// gathered while deliveries run and emptied before the step ends.
     Due,
+    /// Wakes due now that were scheduled for the cycle after their step,
+    /// emptied by [`Sched::pop_due`].
+    Soon,
+    /// Wakes scheduled during this step for the next cycle
+    /// ([`Sched::begin_step`] turns them into [`Set::Soon`]).
+    Next,
 }
 
 /// Number of [`Set`] variants.
-const SETS: usize = 5;
+const SETS: usize = 7;
 
 /// Every [`Set`] over `n` processors, as word-array bitsets in one
 /// allocation.
@@ -54,7 +63,10 @@ pub(crate) struct ProcSets {
 impl ProcSets {
     fn new(n: usize) -> Self {
         let stride = n.div_ceil(64);
-        ProcSets { words: vec![0; stride * SETS], stride }
+        ProcSets {
+            words: vec![0; stride * SETS],
+            stride,
+        }
     }
 
     #[inline]
@@ -84,23 +96,32 @@ impl ProcSets {
 
     /// Whether `set` has no members.
     #[inline]
-    pub(crate) fn is_empty(&self, set: Set) -> bool {
+    fn is_empty(&self, set: Set) -> bool {
         self.words_of(set).iter().all(|&w| w == 0)
+    }
+
+    /// Whether any bus request is queued: a pending one or a woken
+    /// register's (the two sets are adjacent in `words`).
+    #[inline]
+    pub(crate) fn any_request(&self) -> bool {
+        let base = Set::Pending as usize * self.stride;
+        self.words[base..base + 2 * self.stride]
+            .iter()
+            .any(|&w| w != 0)
     }
 
     /// The smallest member of `set` that is `>= from`.
     #[inline]
     pub(crate) fn next(&self, set: Set, from: usize) -> Option<usize> {
         let words = self.words_of(set);
-        let mut w = from / 64;
-        let mut bits = *words.get(w)? & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
+        let start = from / 64;
+        let mut bits = *words.get(start)? & (!0u64 << (from % 64));
+        let mut w = start;
+        while bits == 0 {
             w += 1;
             bits = *words.get(w)?;
         }
+        Some(w * 64 + bits.trailing_zeros() as usize)
     }
 
     /// Empties `set`.
@@ -116,7 +137,9 @@ pub(crate) struct Clock {
     /// Cycle the current phase began.
     pub(crate) since: u64,
     /// Cycle the processor next needs a step (`u64::MAX`: none): a phase's
-    /// `until`, a sleeping waiter's timeout, or a workload idle hint.
+    /// `until`, a sleeping waiter's timeout, or a workload idle hint. Held
+    /// by [`Set::Next`] or [`Set::Soon`] when due the step after it was
+    /// set, by the heap otherwise.
     wake: u64,
     /// Stamp of the heap entry carrying `wake`; older entries are stale.
     stamp: u32,
@@ -131,15 +154,35 @@ pub(crate) struct Clock {
 pub(crate) struct Sched {
     pub(crate) sets: ProcSets,
     pub(crate) clocks: Vec<Clock>,
-    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    heap: BinaryHeap<Reverse<u128>>,
+    /// The cycle the members of [`Set::Next`] are due at.
+    next_at: u64,
+    /// [`Set::Soon`] may have members.
+    soon: bool,
+}
+
+/// A heap key ordering by cycle, then processor, then stamp.
+#[inline]
+fn key(cycle: u64, i: usize, stamp: u32) -> u128 {
+    (u128::from(cycle) << 64) | ((i as u128) << 32) | u128::from(stamp)
 }
 
 impl Sched {
     /// Scheduling state for `n` ready processors at cycle 0.
     pub(crate) fn new(n: usize) -> Self {
-        let clock = Clock { since: 0, wake: u64::MAX, stamp: 0, woken_at: 0 };
-        let mut sched =
-            Sched { sets: ProcSets::new(n), clocks: vec![clock; n], heap: BinaryHeap::new() };
+        let clock = Clock {
+            since: 0,
+            wake: u64::MAX,
+            stamp: 0,
+            woken_at: 0,
+        };
+        let mut sched = Sched {
+            sets: ProcSets::new(n),
+            clocks: vec![clock; n],
+            heap: BinaryHeap::new(),
+            next_at: 0,
+            soon: false,
+        };
         sched.reset(0);
         sched
     }
@@ -148,6 +191,7 @@ impl Sched {
     /// scheduled.
     pub(crate) fn reset(&mut self, now: u64) {
         self.heap.clear();
+        self.soon = false;
         self.sets.words.fill(0);
         for (i, clock) in self.clocks.iter_mut().enumerate() {
             clock.since = now;
@@ -157,51 +201,112 @@ impl Sched {
     }
 
     /// Schedules processor `i`'s next step at cycle `at` (`u64::MAX`
-    /// cancels), superseding whatever was scheduled before.
+    /// cancels), superseding whatever was scheduled before. `now` is the
+    /// current step's cycle; a wake at or before `now + 1` is due at the
+    /// next step, which comes at `now + 1` in both engine modes.
     #[inline]
-    pub(crate) fn set_wake(&mut self, i: usize, at: u64) {
+    pub(crate) fn set_wake(&mut self, i: usize, at: u64, now: u64) {
         let clock = &mut self.clocks[i];
         if clock.wake == at {
             return;
         }
         clock.wake = at;
         clock.stamp = clock.stamp.wrapping_add(1);
-        if at != u64::MAX {
-            self.heap.push(Reverse((at, i as u32, clock.stamp)));
+        self.sets.remove(Set::Soon, i);
+        self.sets.remove(Set::Next, i);
+        if at <= now + 1 {
+            self.next_at = now + 1;
+            self.sets.insert(Set::Next, i);
+        } else if at != u64::MAX {
+            self.heap.push(Reverse(key(at, i, clock.stamp)));
         }
     }
 
-    /// Whether a heap entry still carries its processor's wake.
+    /// The processor of a heap key, if the key still carries its wake.
     #[inline]
-    fn live(&self, (_, i, stamp): (u64, u32, u32)) -> bool {
-        self.clocks[i as usize].stamp == stamp
+    fn live(&self, key: u128) -> Option<usize> {
+        let i = (key >> 32) as u32 as usize;
+        (self.clocks[i].stamp == key as u32).then_some(i)
     }
 
-    /// Moves every processor whose wake cycle is `<= now` into
-    /// [`Set::Due`], consuming its wake.
-    pub(crate) fn collect_due(&mut self, now: u64) {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if entry.0 > now {
-                break;
-            }
-            self.heap.pop();
-            if self.live(entry) {
-                let i = entry.1 as usize;
-                self.clocks[i].wake = u64::MAX;
-                self.sets.insert(Set::Due, i);
-            }
-        }
-    }
-
-    /// The earliest live wake cycle, dropping stale entries on the way.
-    pub(crate) fn next_wake(&mut self) -> Option<u64> {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if self.live(entry) {
-                return Some(entry.0);
+    /// The live heap key with the earliest wake, dropping stale ones.
+    #[inline]
+    fn heap_top(&mut self) -> Option<u128> {
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if self.live(key).is_some() {
+                return Some(key);
             }
             self.heap.pop();
         }
         None
+    }
+
+    /// Starts the step at `now`: the wakes scheduled for it by the
+    /// previous step become due.
+    #[inline]
+    pub(crate) fn begin_step(&mut self, now: u64) {
+        if self.next_at == now && !self.sets.is_empty(Set::Next) {
+            let stride = self.sets.stride;
+            let soon = Set::Soon as usize * stride;
+            let next = Set::Next as usize * stride;
+            self.sets.words.copy_within(next..next + stride, soon);
+            self.sets.clear(Set::Next);
+            self.soon = true;
+        }
+    }
+
+    /// Pops the next processor whose wake cycle is `<= now`, consuming its
+    /// wake. Wakes from earlier cycles come first (only idle hints and
+    /// timeouts re-armed by a relock can be overdue); wakes at `now` come
+    /// out in processor order.
+    #[inline]
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<usize> {
+        loop {
+            let top = self
+                .heap
+                .peek()
+                .map(|r| r.0)
+                .filter(|&key| (key >> 64) as u64 <= now);
+            let soon = if self.soon {
+                self.sets.next(Set::Soon, 0)
+            } else {
+                None
+            };
+            let i = match (top, soon) {
+                (Some(key), Some(j))
+                    if (key >> 64) as u64 == now && (key >> 32) as u32 as usize > j =>
+                {
+                    self.sets.remove(Set::Soon, j);
+                    j
+                }
+                (Some(key), _) => {
+                    self.heap.pop();
+                    match self.live(key) {
+                        Some(i) => i,
+                        None => continue,
+                    }
+                }
+                (None, Some(j)) => {
+                    self.sets.remove(Set::Soon, j);
+                    j
+                }
+                (None, None) => {
+                    self.soon = false;
+                    return None;
+                }
+            };
+            self.clocks[i].wake = u64::MAX;
+            return Some(i);
+        }
+    }
+
+    /// The earliest live wake cycle.
+    #[inline]
+    pub(crate) fn next_wake(&mut self) -> Option<u64> {
+        if !self.sets.is_empty(Set::Next) {
+            return Some(self.next_at);
+        }
+        self.heap_top().map(|key| (key >> 64) as u64)
     }
 }
 
@@ -228,35 +333,57 @@ mod tests {
         assert_eq!(s.next(Set::Ready, 6), None);
         s.remove(Set::Pending, 129);
         assert_eq!(s.next(Set::Pending, 128), None);
-        assert!(!s.is_empty(Set::Pending));
+        assert!(s.any_request());
         s.clear(Set::Pending);
-        assert!(s.is_empty(Set::Pending));
+        assert!(s.next(Set::Pending, 0).is_none() && !s.any_request());
+        s.insert(Set::Woken, 129);
+        assert!(s.any_request());
         assert_eq!(s.next(Set::Ready, 0), Some(5), "sets are independent");
     }
 
     #[test]
     fn reset_makes_every_processor_ready() {
         let sched = Sched::new(70);
-        let ready: Vec<usize> = (0..70).filter(|&i| sched.sets.next(Set::Ready, i) == Some(i)).collect();
+        let ready: Vec<usize> = (0..70)
+            .filter(|&i| sched.sets.next(Set::Ready, i) == Some(i))
+            .collect();
         assert_eq!(ready.len(), 70);
-        assert!(sched.sets.is_empty(Set::Pending));
+        assert!(!sched.sets.any_request());
     }
 
     #[test]
     fn superseded_wakes_are_skipped() {
         let mut sched = Sched::new(4);
-        sched.set_wake(2, 50);
-        sched.set_wake(1, 30);
-        sched.set_wake(1, 70); // supersedes 30
-        sched.set_wake(3, 40);
-        sched.set_wake(3, u64::MAX); // cancels
+        sched.set_wake(2, 50, 0);
+        sched.set_wake(1, 30, 0);
+        sched.set_wake(1, 70, 0); // supersedes 30
+        sched.set_wake(3, 40, 0);
+        sched.set_wake(3, u64::MAX, 0); // cancels
         assert_eq!(sched.next_wake(), Some(50));
-        sched.collect_due(60);
-        assert_eq!(sched.sets.next(Set::Due, 0), Some(2));
-        assert_eq!(sched.sets.next(Set::Due, 3), None);
+        sched.begin_step(60);
+        assert_eq!(sched.pop_due(60), Some(2));
+        assert_eq!(sched.pop_due(60), None);
         assert_eq!(sched.next_wake(), Some(70));
         // A consumed wake can be scheduled again at the same cycle.
-        sched.set_wake(2, 50);
+        sched.set_wake(2, 50, 0);
         assert_eq!(sched.next_wake(), Some(50));
+    }
+
+    #[test]
+    fn next_cycle_wakes_merge_with_the_heap_in_processor_order() {
+        let mut sched = Sched::new(6);
+        // At step 10: 5 and 1 wake at 11 (next cycle); 3 was scheduled
+        // for 11 long ago; 4 has an overdue idle hint; 0 is superseded.
+        sched.set_wake(3, 11, 2);
+        sched.set_wake(5, 11, 10);
+        sched.set_wake(1, 11, 10);
+        sched.set_wake(4, 7, 10);
+        sched.set_wake(0, 11, 10);
+        sched.set_wake(0, 90, 10);
+        assert_eq!(sched.next_wake(), Some(11));
+        sched.begin_step(11);
+        let due: Vec<usize> = std::iter::from_fn(|| sched.pop_due(11)).collect();
+        assert_eq!(due, [1, 3, 4, 5]);
+        assert_eq!(sched.next_wake(), Some(90));
     }
 }

@@ -770,14 +770,17 @@ impl<P: Protocol> System<P> {
         credit_phase(&old, clock.since, self.now, p, self.sampler.as_mut());
         clock.since = self.now;
         let new = &self.phases[i];
-        if let Some(set) = old.set() {
-            self.sched.sets.remove(set, i);
+        let (from, to) = (old.set(), new.set());
+        if from != to {
+            if let Some(set) = from {
+                self.sched.sets.remove(set, i);
+            }
+            if let Some(set) = to {
+                self.sched.sets.insert(set, i);
+            }
         }
-        if let Some(set) = new.set() {
-            self.sched.sets.insert(set, i);
-        }
+        // `Done` is final until `reset_phases` restarts every processor.
         self.done += usize::from(matches!(new, Phase::Done));
-        self.done -= usize::from(matches!(old, Phase::Done));
         self.schedule(i);
     }
 
@@ -794,7 +797,7 @@ impl<P: Protocol> System<P> {
             }
             _ => u64::MAX,
         };
-        self.sched.set_wake(i, wake);
+        self.sched.set_wake(i, wake, self.now);
     }
 
     /// Arms busy-wait register `i` on `block` (a denied lock fetch).
@@ -839,9 +842,14 @@ impl<P: Protocol> System<P> {
     /// done.
     fn step<W: Workload>(&mut self, workload: &mut W) -> Result<bool, SimError> {
         // 1. Deliver completions whose time has come, in processor order.
-        self.sched.collect_due(self.now);
-        let mut due = self.sched.sets.next(Set::Due, 0);
-        while let Some(i) = due {
+        // Due wakes come out overdue ones first, then by processor; every
+        // due `until` equals `now` (a phase's `until` is at least a cycle
+        // ahead, and neither engine mode steps past a live wake), so the
+        // deliveries come out in processor order. Only idle hints and
+        // timeouts re-armed by a relock can be overdue, and neither is a
+        // delivery.
+        self.sched.begin_step(self.now);
+        while let Some(i) = self.sched.pop_due(self.now) {
             match self.phases[i] {
                 Phase::InFlight { op, result, .. } => {
                     self.set_phase(i, Phase::Ready);
@@ -852,9 +860,10 @@ impl<P: Protocol> System<P> {
                 Phase::Backoff { op, retries, wait_since, issued_at, .. } => {
                     self.re_present_after_backoff(i, op, retries, wait_since, issued_at, workload)?;
                 }
+                Phase::WaitingLock { .. } => self.sched.sets.insert(Set::Due, i),
+                // An idle hint: the ready poll below runs regardless.
                 _ => {}
             }
-            due = self.sched.sets.next(Set::Due, i + 1);
         }
 
         // 1b. Busy-wait timeout recovery: waiters whose register has heard
@@ -866,8 +875,8 @@ impl<P: Protocol> System<P> {
                 self.time_out_waiter(i, timeout)?;
                 due = self.sched.sets.next(Set::Due, i + 1);
             }
+            self.sched.sets.clear(Set::Due);
         }
-        self.sched.sets.clear(Set::Due);
 
         // 2. Arbitrate if the bus is free.
         if self.bus_free_at <= self.now {
@@ -881,8 +890,8 @@ impl<P: Protocol> System<P> {
                 WorkItem::Done => self.set_phase(i, Phase::Done),
                 // Stays Ready (counted as stall) and is polled again next
                 // step; an idle hint is a wake like any other.
-                WorkItem::Idle => self.sched.set_wake(i, u64::MAX),
-                WorkItem::IdleUntil(t) => self.sched.set_wake(i, t),
+                WorkItem::Idle => self.sched.set_wake(i, u64::MAX, self.now),
+                WorkItem::IdleUntil(t) => self.sched.set_wake(i, t, self.now),
                 WorkItem::Compute(c) => {
                     self.set_phase(i, Phase::Computing { until: self.now + c.max(1) });
                 }
@@ -912,7 +921,7 @@ impl<P: Protocol> System<P> {
         if let Some(wake) = self.sched.next_wake() {
             t = t.min(wake.max(floor));
         }
-        if !self.sched.sets.is_empty(Set::Pending) || !self.sched.sets.is_empty(Set::Woken) {
+        if self.sched.sets.any_request() {
             t = t.min(self.bus_free_at.max(floor));
         }
         // The watchdog's scheduled check is an event too: a fully quiet
@@ -1219,6 +1228,9 @@ impl<P: Protocol> System<P> {
 
     /// Picks and executes at most one bus transaction.
     fn try_grant<W: Workload>(&mut self, workload: &mut W) -> Result<(), SimError> {
+        if !self.sched.sets.any_request() {
+            return Ok(());
+        }
         // Reserved high-priority level: woken busy-wait registers
         // (Figure 9). Then normal requests, round-robin fair.
         let Some(grant) = self.pick(Set::Woken, true).or_else(|| self.pick(Set::Pending, false))

@@ -407,10 +407,21 @@ fn relocked_register_past_its_deadline_times_out_next_step() {
     let lock = Addr(0);
     let run = |mode, timeout: Option<u64>| {
         let critical = |before: u64, value: u64| {
-            vec![Compute(before), Op(ProcOp::lock_read(lock)), Op(ProcOp::unlock_write(lock, Word(value)))]
+            vec![
+                Compute(before),
+                Op(ProcOp::lock_read(lock)),
+                Op(ProcOp::unlock_write(lock, Word(value))),
+            ]
         };
         let mut w = ParallelScriptWorkload::new()
-            .program(ProcId(0), vec![Op(ProcOp::lock_read(lock)), Compute(100), Op(ProcOp::unlock_write(lock, Word(1)))])
+            .program(
+                ProcId(0),
+                vec![
+                    Op(ProcOp::lock_read(lock)),
+                    Compute(100),
+                    Op(ProcOp::unlock_write(lock, Word(1))),
+                ],
+            )
             .program(ProcId(1), critical(20, 2))
             .program(ProcId(2), critical(10, 3));
         let mut cfg = SystemConfig::new(3)
@@ -422,12 +433,19 @@ fn relocked_register_past_its_deadline_times_out_next_step() {
         }
         let mut sys = System::new(mcs_core::BitarDespain, cfg).expect("valid system");
         let report = sys.run(&mut w, MAX_CYCLES).expect("the run completes");
-        assert!(report.completed && w.finished(), "({mode:?}) scripts did not finish");
+        assert!(
+            report.completed && w.finished(),
+            "({mode:?}) scripts did not finish"
+        );
         (report.stats, sys.trace().to_vec())
     };
     // The cycle of the first event at or after `from` matching `pred`.
     let first_from = |trace: &[(u64, Event)], from: u64, pred: &dyn Fn(&Event) -> bool| {
-        trace.iter().find(|(c, e)| *c >= from && pred(e)).map(|(c, _)| *c).expect("event in trace")
+        trace
+            .iter()
+            .find(|(c, e)| *c >= from && pred(e))
+            .map(|(c, _)| *c)
+            .expect("event in trace")
     };
     let first = |trace: &[(u64, Event)], pred: &dyn Fn(&Event) -> bool| first_from(trace, 0, pred);
     let p2 = CacheId(2);
@@ -452,7 +470,17 @@ fn relocked_register_past_its_deadline_times_out_next_step() {
     let woken_at = first(&trace, &woken);
     assert!(woken_at < deadline, "P2 must wake before its deadline");
     let relocked_at = first_from(&trace, woken_at, &relock);
-    assert!(relocked_at >= deadline, "the relock must come at or after the deadline");
-    let timed_out = first(&trace, &|e| matches!(e, Event::WaiterTimeout { cache, .. } if *cache == p2));
-    assert_eq!(timed_out, relocked_at + 1, "a relocked register past its deadline times out on the next step");
+    assert!(
+        relocked_at >= deadline,
+        "the relock must come at or after the deadline"
+    );
+    let timed_out = first(
+        &trace,
+        &|e| matches!(e, Event::WaiterTimeout { cache, .. } if *cache == p2),
+    );
+    assert_eq!(
+        timed_out,
+        relocked_at + 1,
+        "a relocked register past its deadline times out on the next step"
+    );
 }

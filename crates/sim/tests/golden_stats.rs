@@ -105,7 +105,11 @@ fn run<W: Workload>(
     })
 }
 
-fn lock_workload(scheme: LockSchemeKind, words: usize, iterations: usize) -> CriticalSectionWorkload {
+fn lock_workload(
+    scheme: LockSchemeKind,
+    words: usize,
+    iterations: usize,
+) -> CriticalSectionWorkload {
     CriticalSectionWorkload::builder()
         .scheme(scheme)
         .words_per_block(words)
@@ -147,7 +151,10 @@ fn grid() -> Vec<(String, Stats)> {
     let bd = ProtocolKind::BitarDespain;
     for procs in [64, 130] {
         let w = lock_workload(LockSchemeKind::CacheLock, 4, 2);
-        cells.push((format!("bitar-despain/cache-lock/{procs}"), run(bd, procs, |c| c, w)));
+        cells.push((
+            format!("bitar-despain/cache-lock/{procs}"),
+            run(bd, procs, |c| c, w),
+        ));
     }
     let tas = ProtocolKind::Illinois;
     let w = lock_workload(LockSchemeKind::TestAndSet, 4, 2);
@@ -163,9 +170,15 @@ fn grid() -> Vec<(String, Stats)> {
         .iterations(8)
         .work_while_waiting(5)
         .build();
-    cells.push(("bitar-despain/ready-sections/4".to_string(), run(bd, 4, |c| c, ready)));
+    cells.push((
+        "bitar-despain/ready-sections/4".to_string(),
+        run(bd, 4, |c| c, ready),
+    ));
     let timeouts = lock_workload(LockSchemeKind::CacheLock, 4, 3);
-    let plan = FaultPlan::new(0xDEAD).lose_unlock(500).busy_wait_timeout(700).backoff(2, 64);
+    let plan = FaultPlan::new(0xDEAD)
+        .lose_unlock(500)
+        .busy_wait_timeout(700)
+        .backoff(2, 64);
     cells.push((
         "bitar-despain/lost-unlock-timeouts/8".to_string(),
         run(bd, 8, |c| c.with_faults(plan), timeouts),
@@ -180,18 +193,26 @@ fn stats_digests_match_the_recorded_grid() {
         .iter()
         .map(|(label, stats)| (label.clone(), fnv1a(format!("{stats:?}").as_bytes())))
         .collect();
-    let table: String =
-        actual.iter().map(|(label, d)| format!("    (\"{label}\", {d:#018x}),\n")).collect();
+    let table: String = actual
+        .iter()
+        .map(|(label, d)| format!("    (\"{label}\", {d:#018x}),\n"))
+        .collect();
     let labels: Vec<&str> = actual.iter().map(|(l, _)| l.as_str()).collect();
     let golden: Vec<&str> = GOLDEN.iter().map(|(l, _)| *l).collect();
-    assert_eq!(labels, golden, "grid cells changed; recorded table should read:\n{table}");
+    assert_eq!(
+        labels, golden,
+        "grid cells changed; recorded table should read:\n{table}"
+    );
     let diverged: Vec<&str> = actual
         .iter()
         .zip(GOLDEN)
         .filter(|((_, a), (_, g))| a != g)
         .map(|((label, _), _)| label.as_str())
         .collect();
-    assert!(diverged.is_empty(), "stats diverged for {diverged:?}; actual table:\n{table}");
+    assert!(
+        diverged.is_empty(),
+        "stats diverged for {diverged:?}; actual table:\n{table}"
+    );
 }
 
 /// Digest of the interval time-series (bus, references and the
