@@ -40,12 +40,12 @@ pub(crate) enum Set {
     /// Sleeping waiters whose busy-wait timeout came up this step,
     /// gathered while deliveries run and emptied before the step ends.
     Due,
-    /// Wakes due now that were scheduled for the cycle after their step,
-    /// emptied by [`Sched::pop_due`].
-    Soon,
-    /// Wakes scheduled during this step for the next cycle
-    /// ([`Sched::begin_step`] turns them into [`Set::Soon`]).
-    Next,
+    /// The two next-cycle wake sets. At any time one collects the wakes
+    /// scheduled for the step after this one and the other holds the
+    /// ones due at this step; [`Sched::begin_step`] swaps their roles.
+    WakeA,
+    /// See [`Set::WakeA`].
+    WakeB,
 }
 
 /// Number of [`Set`] variants.
@@ -138,8 +138,8 @@ pub(crate) struct Clock {
     pub(crate) since: u64,
     /// Cycle the processor next needs a step (`u64::MAX`: none): a phase's
     /// `until`, a sleeping waiter's timeout, or a workload idle hint. Held
-    /// by [`Set::Next`] or [`Set::Soon`] when due the step after it was
-    /// set, by the heap otherwise.
+    /// by a next-cycle wake set when due the step after it was set, by the
+    /// heap otherwise.
     wake: u64,
     /// Stamp of the heap entry carrying `wake`; older entries are stale.
     stamp: u32,
@@ -155,10 +155,14 @@ pub(crate) struct Sched {
     pub(crate) sets: ProcSets,
     pub(crate) clocks: Vec<Clock>,
     heap: BinaryHeap<Reverse<u128>>,
-    /// The cycle the members of [`Set::Next`] are due at.
+    /// The next-cycle wake set collecting wakes for the next step.
+    next: Set,
+    /// The next-cycle wake set holding wakes due at this step.
+    soon: Set,
+    /// The cycle the members of `next` are due at.
     next_at: u64,
-    /// [`Set::Soon`] may have members.
-    soon: bool,
+    /// `soon` may have members.
+    any_soon: bool,
 }
 
 /// A heap key ordering by cycle, then processor, then stamp.
@@ -180,8 +184,10 @@ impl Sched {
             sets: ProcSets::new(n),
             clocks: vec![clock; n],
             heap: BinaryHeap::new(),
+            next: Set::WakeA,
+            soon: Set::WakeB,
             next_at: 0,
-            soon: false,
+            any_soon: false,
         };
         sched.reset(0);
         sched
@@ -191,7 +197,7 @@ impl Sched {
     /// scheduled.
     pub(crate) fn reset(&mut self, now: u64) {
         self.heap.clear();
-        self.soon = false;
+        self.any_soon = false;
         self.sets.words.fill(0);
         for (i, clock) in self.clocks.iter_mut().enumerate() {
             clock.since = now;
@@ -204,7 +210,7 @@ impl Sched {
     /// cancels), superseding whatever was scheduled before. `now` is the
     /// current step's cycle; a wake at or before `now + 1` is due at the
     /// next step, which comes at `now + 1` in both engine modes.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn set_wake(&mut self, i: usize, at: u64, now: u64) {
         let clock = &mut self.clocks[i];
         if clock.wake == at {
@@ -212,14 +218,29 @@ impl Sched {
         }
         clock.wake = at;
         clock.stamp = clock.stamp.wrapping_add(1);
-        self.sets.remove(Set::Soon, i);
-        self.sets.remove(Set::Next, i);
+        // A wake due now has been popped before its processor can change
+        // phase, so only the next-cycle set can still hold `i`.
+        self.sets.remove(self.next, i);
         if at <= now + 1 {
             self.next_at = now + 1;
-            self.sets.insert(Set::Next, i);
+            self.sets.insert(self.next, i);
         } else if at != u64::MAX {
-            self.heap.push(Reverse(key(at, i, clock.stamp)));
+            let key = key(at, i, clock.stamp);
+            self.push(key);
         }
+    }
+
+    /// Pushes a heap key; kept out of line so the callers' fast paths
+    /// stay small.
+    #[inline(never)]
+    fn push(&mut self, key: u128) {
+        self.heap.push(Reverse(key));
+    }
+
+    /// Pops the heap's top key; out of line like [`Sched::push`].
+    #[inline(never)]
+    fn pop(&mut self) {
+        self.heap.pop();
     }
 
     /// The processor of a heap key, if the key still carries its wake.
@@ -236,7 +257,7 @@ impl Sched {
             if self.live(key).is_some() {
                 return Some(key);
             }
-            self.heap.pop();
+            self.pop();
         }
         None
     }
@@ -245,13 +266,9 @@ impl Sched {
     /// previous step become due.
     #[inline]
     pub(crate) fn begin_step(&mut self, now: u64) {
-        if self.next_at == now && !self.sets.is_empty(Set::Next) {
-            let stride = self.sets.stride;
-            let soon = Set::Soon as usize * stride;
-            let next = Set::Next as usize * stride;
-            self.sets.words.copy_within(next..next + stride, soon);
-            self.sets.clear(Set::Next);
-            self.soon = true;
+        if self.next_at == now && !self.sets.is_empty(self.next) {
+            std::mem::swap(&mut self.next, &mut self.soon);
+            self.any_soon = true;
         }
     }
 
@@ -259,7 +276,7 @@ impl Sched {
     /// wake. Wakes from earlier cycles come first (only idle hints and
     /// timeouts re-armed by a relock can be overdue); wakes at `now` come
     /// out in processor order.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn pop_due(&mut self, now: u64) -> Option<usize> {
         loop {
             let top = self
@@ -267,8 +284,8 @@ impl Sched {
                 .peek()
                 .map(|r| r.0)
                 .filter(|&key| (key >> 64) as u64 <= now);
-            let soon = if self.soon {
-                self.sets.next(Set::Soon, 0)
+            let soon = if self.any_soon {
+                self.sets.next(self.soon, 0)
             } else {
                 None
             };
@@ -276,22 +293,22 @@ impl Sched {
                 (Some(key), Some(j))
                     if (key >> 64) as u64 == now && (key >> 32) as u32 as usize > j =>
                 {
-                    self.sets.remove(Set::Soon, j);
+                    self.sets.remove(self.soon, j);
                     j
                 }
                 (Some(key), _) => {
-                    self.heap.pop();
+                    self.pop();
                     match self.live(key) {
                         Some(i) => i,
                         None => continue,
                     }
                 }
                 (None, Some(j)) => {
-                    self.sets.remove(Set::Soon, j);
+                    self.sets.remove(self.soon, j);
                     j
                 }
                 (None, None) => {
-                    self.soon = false;
+                    self.any_soon = false;
                     return None;
                 }
             };
@@ -303,7 +320,7 @@ impl Sched {
     /// The earliest live wake cycle.
     #[inline]
     pub(crate) fn next_wake(&mut self) -> Option<u64> {
-        if !self.sets.is_empty(Set::Next) {
+        if !self.sets.is_empty(self.next) {
             return Some(self.next_at);
         }
         self.heap_top().map(|key| (key >> 64) as u64)

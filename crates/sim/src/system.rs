@@ -138,6 +138,7 @@ impl Phase {
 /// statistics, in closed form, and its lock-waiter span to the interval
 /// sampler. Summing these spans per phase gives exactly what per-cycle
 /// accounting of the same phases gives.
+#[inline(always)]
 fn credit_phase(
     phase: &Phase,
     since: u64,
@@ -763,13 +764,13 @@ impl<P: Protocol> System<P> {
     /// The only writer of a processor's phase during a run. Credits the
     /// phase being left, then moves the processor between the processor
     /// sets and reschedules its wake for the new phase.
+    #[inline(always)]
     fn set_phase(&mut self, i: usize, new: Phase) {
-        let old = std::mem::replace(&mut self.phases[i], new);
+        let old = &self.phases[i];
         let clock = &mut self.sched.clocks[i];
         let p = &mut self.stats.per_proc[i];
-        credit_phase(&old, clock.since, self.now, p, self.sampler.as_mut());
+        credit_phase(old, clock.since, self.now, p, self.sampler.as_mut());
         clock.since = self.now;
-        let new = &self.phases[i];
         let (from, to) = (old.set(), new.set());
         if from != to {
             if let Some(set) = from {
@@ -781,14 +782,16 @@ impl<P: Protocol> System<P> {
         }
         // `Done` is final until `reset_phases` restarts every processor.
         self.done += usize::from(matches!(new, Phase::Done));
-        self.schedule(i);
+        let wake = self.wake_of(i, &new);
+        self.phases[i] = new;
+        self.sched.set_wake(i, wake, self.now);
     }
 
-    /// Sets processor `i`'s wake to what its phase and busy-wait register
-    /// call for: the phase's `until`, or the busy-wait timeout of a waiter
-    /// whose register is armed but not woken.
-    fn schedule(&mut self, i: usize) {
-        let wake = match &self.phases[i] {
+    /// The wake processor `i` needs in `phase`: the phase's `until`, or
+    /// the busy-wait timeout of a waiter whose register is armed but not
+    /// woken.
+    fn wake_of(&self, i: usize, phase: &Phase) -> u64 {
+        match phase {
             Phase::Computing { until }
             | Phase::InFlight { until, .. }
             | Phase::Backoff { until, .. } => *until,
@@ -796,7 +799,13 @@ impl<P: Protocol> System<P> {
                 self.bw_timeout.map_or(u64::MAX, |t| armed_at + t)
             }
             _ => u64::MAX,
-        };
+        }
+    }
+
+    /// Reschedules processor `i` after its busy-wait register woke or went
+    /// back to sleep.
+    fn schedule(&mut self, i: usize) {
+        let wake = self.wake_of(i, &self.phases[i]);
         self.sched.set_wake(i, wake, self.now);
     }
 
