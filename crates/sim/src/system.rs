@@ -19,8 +19,8 @@
 //! The engine runs in one of two [`EngineMode`]s over the same `step`. The
 //! cycle-accurate reference mode advances `now` one bus cycle at a time.
 //! The event-driven default jumps straight to the next *interesting*
-//! cycle: the top of the wake heap, the next arbitration slot (only when a
-//! request is queued), or the watchdog's next check. Both modes produce
+//! cycle: the earliest processor wake, the next arbitration slot (only
+//! when a request is queued), or the watchdog's next check. Both modes produce
 //! bit-identical [`Stats`] and [`Trace`] output (see
 //! `tests/equivalence.rs`); the event-driven mode merely skips the cycles
 //! on which nothing can happen.
@@ -31,8 +31,9 @@
 //!
 //! - **Wake heap.** Each processor has at most one wake cycle: the `until`
 //!   of a `Computing`/`InFlight`/`Backoff` phase, a sleeping waiter's
-//!   busy-wait timeout, or a workload idle hint. A step pops the due ones
-//!   and handles them in ascending processor order.
+//!   busy-wait timeout, or a workload idle hint. Wakes due at the next
+//!   step skip the heap through a next-cycle bitset. A step pops the due
+//!   ones and handles them in ascending processor order.
 //! - **Processor sets.** Ready processors, pending requests, and woken and
 //!   watching busy-wait registers are bitsets. Arbitration walks them
 //!   round-robin from `rr` with `trailing_zeros`, visiting the same
@@ -1525,7 +1526,7 @@ impl<P: Protocol> System<P> {
             BusOp::UnlockBroadcast => self.broadcast_unlock(block, req),
             BusOp::Fetch { privilege: Privilege::Lock, .. } => {
                 // A woken register that lost the race sleeps again; its
-                // busy-wait timeout (if any) is back on the wake heap.
+                // busy-wait timeout (if any) is scheduled again.
                 let mut next = self.next_watcher(0);
                 while let Some(j) = next {
                     if j != req && self.registers[j].observe_relock(block) {
