@@ -765,7 +765,7 @@ impl<P: Protocol> System<P> {
     /// The only writer of a processor's phase during a run. Credits the
     /// phase being left, then moves the processor between the processor
     /// sets and reschedules its wake for the new phase.
-    #[inline(always)]
+    #[inline]
     fn set_phase(&mut self, i: usize, new: Phase) {
         let old = &self.phases[i];
         let clock = &mut self.sched.clocks[i];
