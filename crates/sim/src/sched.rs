@@ -7,10 +7,11 @@
 //! processor:
 //!
 //! - [`ProcSets`]: word-array bitsets of the ready processors, the pending
-//!   bus requests, the woken and the watching busy-wait registers, and the
-//!   processors due at the current step. Members come out in ascending
-//!   order, and [`ProcSets::next`] starts anywhere, so round-robin
-//!   arbitration from any point costs one `trailing_zeros` per candidate.
+//!   bus requests, the woken and the watching busy-wait registers, the
+//!   sleeping waiters whose timeout came up, and the next-cycle wakes.
+//!   Members come out in ascending order, and [`ProcSets::next`] starts
+//!   anywhere, so round-robin arbitration from any point costs one
+//!   `trailing_zeros` per candidate.
 //! - [`Clock`]: when the current phase began (its cycles are credited in
 //!   closed form when it ends) and when the processor next needs a step.
 //! - The wake heap: a min-heap of those wake cycles, keyed by `(cycle,
