@@ -7,20 +7,16 @@
 //! processor:
 //!
 //! - [`ProcSets`]: word-array bitsets of the ready processors, the pending
-//!   bus requests, the woken and the watching busy-wait registers, the
-//!   sleeping waiters whose timeout came up, and the next-cycle wakes.
-//!   Members come out in ascending order, and [`ProcSets::next`] starts
-//!   anywhere, so round-robin arbitration from any point costs one
-//!   `trailing_zeros` per candidate.
+//!   bus requests, the woken and the watching busy-wait registers, and the
+//!   sleeping waiters whose timeout came up. Members come out in ascending
+//!   order, and [`ProcSets::next`] starts anywhere, so round-robin
+//!   arbitration from any point costs one `trailing_zeros` per candidate.
 //! - [`Clock`]: when the current phase began (its cycles are credited in
 //!   closed form when it ends) and when the processor next needs a step.
-//! - The wake heap: a min-heap of those wake cycles, keyed by `(cycle,
-//!   processor, stamp)` packed into one `u128`. Changing a processor's
-//!   wake bumps its stamp instead of searching the heap, so superseded
-//!   entries are dropped when they surface. Wakes due at the very next
-//!   step (a one-cycle compute after a hit, the commonest wake by far)
-//!   skip the heap: they go to a bitset that becomes the due set when
-//!   that step begins.
+//! - The wake heap: a min-heap of `(cycle, processor)` wakes. Changing a
+//!   processor's wake pushes the new one and leaves the old entry in
+//!   place; an entry is live only while it still equals its processor's
+//!   wake, so superseded entries are dropped when they surface.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,16 +37,10 @@ pub(crate) enum Set {
     /// Sleeping waiters whose busy-wait timeout came up this step,
     /// gathered while deliveries run and emptied before the step ends.
     Due,
-    /// The two next-cycle wake sets. At any time one collects the wakes
-    /// scheduled for the step after this one and the other holds the
-    /// ones due at this step; [`Sched::begin_step`] swaps their roles.
-    WakeA,
-    /// See [`Set::WakeA`].
-    WakeB,
 }
 
 /// Number of [`Set`] variants.
-const SETS: usize = 7;
+const SETS: usize = 5;
 
 /// Every [`Set`] over `n` processors, as word-array bitsets in one
 /// allocation.
@@ -75,12 +65,6 @@ impl ProcSets {
         (set as usize * self.stride + i / 64, 1 << (i % 64))
     }
 
-    #[inline]
-    fn words_of(&self, set: Set) -> &[u64] {
-        let base = set as usize * self.stride;
-        &self.words[base..base + self.stride]
-    }
-
     /// Adds processor `i` to `set`.
     #[inline]
     pub(crate) fn insert(&mut self, set: Set, i: usize) {
@@ -93,12 +77,6 @@ impl ProcSets {
     pub(crate) fn remove(&mut self, set: Set, i: usize) {
         let (w, bit) = self.slot(set, i);
         self.words[w] &= !bit;
-    }
-
-    /// Whether `set` has no members.
-    #[inline]
-    fn is_empty(&self, set: Set) -> bool {
-        self.words_of(set).iter().all(|&w| w == 0)
     }
 
     /// Whether any bus request is queued: a pending one or a woken
@@ -114,7 +92,8 @@ impl ProcSets {
     /// The smallest member of `set` that is `>= from`.
     #[inline]
     pub(crate) fn next(&self, set: Set, from: usize) -> Option<usize> {
-        let words = self.words_of(set);
+        let base = set as usize * self.stride;
+        let words = &self.words[base..base + self.stride];
         let start = from / 64;
         let mut bits = *words.get(start)? & (!0u64 << (from % 64));
         let mut w = start;
@@ -138,12 +117,8 @@ pub(crate) struct Clock {
     /// Cycle the current phase began.
     pub(crate) since: u64,
     /// Cycle the processor next needs a step (`u64::MAX`: none): a phase's
-    /// `until`, a sleeping waiter's timeout, or a workload idle hint. Held
-    /// by a next-cycle wake set when due the step after it was set, by the
-    /// heap otherwise.
+    /// `until`, a sleeping waiter's timeout, or a workload idle hint.
     wake: u64,
-    /// Stamp of the heap entry carrying `wake`; older entries are stale.
-    stamp: u32,
     /// Cycle the busy-wait register last woke, for the arbitration wait of
     /// its high-priority request.
     pub(crate) woken_at: u64,
@@ -155,21 +130,7 @@ pub(crate) struct Clock {
 pub(crate) struct Sched {
     pub(crate) sets: ProcSets,
     pub(crate) clocks: Vec<Clock>,
-    heap: BinaryHeap<Reverse<u128>>,
-    /// The next-cycle wake set collecting wakes for the next step.
-    next: Set,
-    /// The next-cycle wake set holding wakes due at this step.
-    soon: Set,
-    /// The cycle the members of `next` are due at.
-    next_at: u64,
-    /// `soon` may have members.
-    any_soon: bool,
-}
-
-/// A heap key ordering by cycle, then processor, then stamp.
-#[inline]
-fn key(cycle: u64, i: usize, stamp: u32) -> u128 {
-    (u128::from(cycle) << 64) | ((i as u128) << 32) | u128::from(stamp)
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl Sched {
@@ -178,17 +139,12 @@ impl Sched {
         let clock = Clock {
             since: 0,
             wake: u64::MAX,
-            stamp: 0,
             woken_at: 0,
         };
         let mut sched = Sched {
             sets: ProcSets::new(n),
             clocks: vec![clock; n],
             heap: BinaryHeap::new(),
-            next: Set::WakeA,
-            soon: Set::WakeB,
-            next_at: 0,
-            any_soon: false,
         };
         sched.reset(0);
         sched
@@ -198,7 +154,6 @@ impl Sched {
     /// scheduled.
     pub(crate) fn reset(&mut self, now: u64) {
         self.heap.clear();
-        self.any_soon = false;
         self.sets.words.fill(0);
         for (i, clock) in self.clocks.iter_mut().enumerate() {
             clock.since = now;
@@ -209,122 +164,54 @@ impl Sched {
 
     /// Schedules processor `i`'s next step at cycle `at` (`u64::MAX`
     /// cancels), superseding whatever was scheduled before. `now` is the
-    /// current step's cycle; a wake at or before `now + 1` is due at the
-    /// next step, which comes at `now + 1` in both engine modes.
-    #[inline(always)]
+    /// current step's cycle; a wake at or before it is due at the next
+    /// step, which comes at `now + 1` in both engine modes.
     pub(crate) fn set_wake(&mut self, i: usize, at: u64, now: u64) {
+        let at = at.max(now + 1);
         let clock = &mut self.clocks[i];
         if clock.wake == at {
             return;
         }
         clock.wake = at;
-        clock.stamp = clock.stamp.wrapping_add(1);
-        // A wake due now has been popped before its processor can change
-        // phase, so only the next-cycle set can still hold `i`.
-        self.sets.remove(self.next, i);
-        if at <= now + 1 {
-            self.next_at = now + 1;
-            self.sets.insert(self.next, i);
-        } else if at != u64::MAX {
-            let key = key(at, i, clock.stamp);
-            self.push(key);
+        if at != u64::MAX {
+            self.heap.push(Reverse((at, i)));
         }
     }
 
-    /// Pushes a heap key; kept out of line so the callers' fast paths
-    /// stay small.
-    #[inline(never)]
-    fn push(&mut self, key: u128) {
-        self.heap.push(Reverse(key));
-    }
-
-    /// Pops the heap's top key; out of line like [`Sched::push`].
-    #[inline(never)]
-    fn pop(&mut self) {
-        self.heap.pop();
-    }
-
-    /// The processor of a heap key, if the key still carries its wake.
+    /// The processor of a heap entry, if the entry still carries its wake.
+    /// Every wake lies after the step that set it and is consumed when it
+    /// pops, so a stale entry never equals its processor's wake.
     #[inline]
-    fn live(&self, key: u128) -> Option<usize> {
-        let i = (key >> 32) as u32 as usize;
-        (self.clocks[i].stamp == key as u32).then_some(i)
+    fn live(&self, (at, i): (u64, usize)) -> Option<usize> {
+        (self.clocks[i].wake == at).then_some(i)
     }
 
-    /// The live heap key with the earliest wake, dropping stale ones.
-    #[inline]
-    fn heap_top(&mut self) -> Option<u128> {
-        while let Some(&Reverse(key)) = self.heap.peek() {
-            if self.live(key).is_some() {
-                return Some(key);
+    /// Pops the next processor whose wake cycle is `<= now`, consuming its
+    /// wake. Neither engine mode steps past a live wake, so every live wake
+    /// popped is due exactly at `now` and they come out in processor order.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<usize> {
+        while let Some(&Reverse(entry)) = self.heap.peek() {
+            if entry.0 > now {
+                break;
             }
-            self.pop();
+            self.heap.pop();
+            if let Some(i) = self.live(entry) {
+                self.clocks[i].wake = u64::MAX;
+                return Some(i);
+            }
         }
         None
     }
 
-    /// Starts the step at `now`: the wakes scheduled for it by the
-    /// previous step become due.
-    #[inline]
-    pub(crate) fn begin_step(&mut self, now: u64) {
-        if self.next_at == now && !self.sets.is_empty(self.next) {
-            std::mem::swap(&mut self.next, &mut self.soon);
-            self.any_soon = true;
-        }
-    }
-
-    /// Pops the next processor whose wake cycle is `<= now`, consuming its
-    /// wake. Wakes from earlier cycles come first (only idle hints and
-    /// timeouts re-armed by a relock can be overdue); wakes at `now` come
-    /// out in processor order.
-    #[inline(always)]
-    pub(crate) fn pop_due(&mut self, now: u64) -> Option<usize> {
-        loop {
-            let top = self
-                .heap
-                .peek()
-                .map(|r| r.0)
-                .filter(|&key| (key >> 64) as u64 <= now);
-            let soon = if self.any_soon {
-                self.sets.next(self.soon, 0)
-            } else {
-                None
-            };
-            let i = match (top, soon) {
-                (Some(key), Some(j))
-                    if (key >> 64) as u64 == now && (key >> 32) as u32 as usize > j =>
-                {
-                    self.sets.remove(self.soon, j);
-                    j
-                }
-                (Some(key), _) => {
-                    self.pop();
-                    match self.live(key) {
-                        Some(i) => i,
-                        None => continue,
-                    }
-                }
-                (None, Some(j)) => {
-                    self.sets.remove(self.soon, j);
-                    j
-                }
-                (None, None) => {
-                    self.any_soon = false;
-                    return None;
-                }
-            };
-            self.clocks[i].wake = u64::MAX;
-            return Some(i);
-        }
-    }
-
-    /// The earliest live wake cycle.
-    #[inline]
+    /// The earliest live wake cycle, dropping stale entries above it.
     pub(crate) fn next_wake(&mut self) -> Option<u64> {
-        if !self.sets.is_empty(self.next) {
-            return Some(self.next_at);
+        while let Some(&Reverse(entry)) = self.heap.peek() {
+            if self.live(entry).is_some() {
+                return Some(entry.0);
+            }
+            self.heap.pop();
         }
-        self.heap_top().map(|key| (key >> 64) as u64)
+        None
     }
 }
 
@@ -378,9 +265,8 @@ mod tests {
         sched.set_wake(3, 40, 0);
         sched.set_wake(3, u64::MAX, 0); // cancels
         assert_eq!(sched.next_wake(), Some(50));
-        sched.begin_step(60);
-        assert_eq!(sched.pop_due(60), Some(2));
-        assert_eq!(sched.pop_due(60), None);
+        assert_eq!(sched.pop_due(50), Some(2));
+        assert_eq!(sched.pop_due(50), None);
         assert_eq!(sched.next_wake(), Some(70));
         // A consumed wake can be scheduled again at the same cycle.
         sched.set_wake(2, 50, 0);
@@ -388,10 +274,24 @@ mod tests {
     }
 
     #[test]
-    fn next_cycle_wakes_merge_with_the_heap_in_processor_order() {
+    fn a_wake_changed_back_and_forth_pops_once() {
+        let mut sched = Sched::new(2);
+        sched.set_wake(1, 20, 0);
+        sched.set_wake(1, 30, 0);
+        sched.set_wake(1, 20, 0); // two entries for (20, 1) now
+        assert_eq!(sched.pop_due(20), Some(1));
+        // The duplicate is stale once the wake is consumed, and stays
+        // stale after a new wake, which always lies past the step.
+        sched.set_wake(1, 25, 20);
+        assert_eq!(sched.pop_due(20), None);
+        assert_eq!(sched.next_wake(), Some(25));
+    }
+
+    #[test]
+    fn overdue_wakes_come_due_at_the_next_step_in_processor_order() {
         let mut sched = Sched::new(6);
-        // At step 10: 5 and 1 wake at 11 (next cycle); 3 was scheduled
-        // for 11 long ago; 4 has an overdue idle hint; 0 is superseded.
+        // At step 10: 5 and 1 wake at 11; 3 was scheduled for 11 long ago;
+        // 4 has an overdue idle hint; 0 is superseded.
         sched.set_wake(3, 11, 2);
         sched.set_wake(5, 11, 10);
         sched.set_wake(1, 11, 10);
@@ -399,7 +299,7 @@ mod tests {
         sched.set_wake(0, 11, 10);
         sched.set_wake(0, 90, 10);
         assert_eq!(sched.next_wake(), Some(11));
-        sched.begin_step(11);
+        assert_eq!(sched.pop_due(10), None, "nothing set at step 10 is due at it");
         let due: Vec<usize> = std::iter::from_fn(|| sched.pop_due(11)).collect();
         assert_eq!(due, [1, 3, 4, 5]);
         assert_eq!(sched.next_wake(), Some(90));

@@ -31,9 +31,8 @@
 //!
 //! - **Wake heap.** Each processor has at most one wake cycle: the `until`
 //!   of a `Computing`/`InFlight`/`Backoff` phase, a sleeping waiter's
-//!   busy-wait timeout, or a workload idle hint. Wakes due at the next
-//!   step skip the heap through a next-cycle bitset. A step pops the due
-//!   ones and handles them in ascending processor order.
+//!   busy-wait timeout, or a workload idle hint. A step pops the due ones
+//!   and handles them in ascending processor order.
 //! - **Processor sets.** Ready processors, pending requests, and woken and
 //!   watching busy-wait registers are bitsets. Arbitration walks them
 //!   round-robin from `rr` with `trailing_zeros`, visiting the same
@@ -139,7 +138,6 @@ impl Phase {
 /// statistics, in closed form, and its lock-waiter span to the interval
 /// sampler. Summing these spans per phase gives exactly what per-cycle
 /// accounting of the same phases gives.
-#[inline(always)]
 fn credit_phase(
     phase: &Phase,
     since: u64,
@@ -852,13 +850,10 @@ impl<P: Protocol> System<P> {
     /// done.
     fn step<W: Workload>(&mut self, workload: &mut W) -> Result<bool, SimError> {
         // 1. Deliver completions whose time has come, in processor order.
-        // Due wakes come out overdue ones first, then by processor; every
-        // due `until` equals `now` (a phase's `until` is at least a cycle
-        // ahead, and neither engine mode steps past a live wake), so the
-        // deliveries come out in processor order. Only idle hints and
-        // timeouts re-armed by a relock can be overdue, and neither is a
-        // delivery.
-        self.sched.begin_step(self.now);
+        // Every wake lies after the step that set it (an overdue idle hint
+        // or re-armed timeout comes due at the next step), and neither
+        // engine mode steps past a live wake, so due wakes are all at `now`
+        // and pop in processor order.
         while let Some(i) = self.sched.pop_due(self.now) {
             match self.phases[i] {
                 Phase::InFlight { op, result, .. } => {
