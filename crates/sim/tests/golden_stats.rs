@@ -10,12 +10,17 @@
 //! The grid covers every protocol on three workload families at 4
 //! processors, the paper's cache-state lock at 64 and 130 processors (130
 //! spans three 64-bit processor-set words), a test-and-set lock at 64
-//! processors, work-while-waiting, and busy-wait timeout recovery.
+//! processors, work-while-waiting, and busy-wait timeout recovery. A few
+//! cells pin more than `Stats`: the per-cache directory counters of the
+//! 64-processor lock run, the fault counters of a dropped-snoop run, and
+//! the data and line states an I/O script leaves behind. Together with
+//! Rudolph-Segall's revalidation of invalid copies at 16 processors, these
+//! are the cases where an invalid frame's snoop can be observed.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
-use mcs_model::Stats;
-use mcs_sim::faults::FaultPlan;
+use mcs_model::{Addr, BlockAddr, CacheId, DirectoryStats, ProcId, ProcOp, Stats, Word};
+use mcs_sim::faults::{FaultPlan, FaultStats};
 use mcs_sim::{System, SystemConfig, Workload};
 use mcs_sync::LockSchemeKind;
 use mcs_workloads::{
@@ -61,6 +66,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("illinois/tas/64", 0x3e88161c78a0501e),
     ("bitar-despain/ready-sections/4", 0x2f19ff9bc16953a6),
     ("bitar-despain/lost-unlock-timeouts/8", 0xa0573341195212a8),
+    ("rudolph-segall/rs/16", 0xaec498350168abdc),
+    ("bitar-despain/cache-lock/64/directories", 0x5e9dfb5d5827e341),
+    ("bitar-despain/cache-lock/16/dropped-snoops", 0x2346a368a175ca63),
+    ("io-script/4", 0x662c5850615304da),
 ];
 
 /// 64-bit FNV-1a.
@@ -89,20 +98,84 @@ fn scheme_for(kind: ProtocolKind) -> LockSchemeKind {
     }
 }
 
+/// What a finished run leaves behind: its statistics, fault counters and
+/// per-cache directory counters.
+struct Outcome {
+    stats: Stats,
+    faults: Option<FaultStats>,
+    directories: Vec<DirectoryStats>,
+}
+
 fn run<W: Workload>(
     kind: ProtocolKind,
     procs: usize,
     cfg_hook: impl FnOnce(SystemConfig) -> SystemConfig,
     mut workload: W,
-) -> Stats {
+) -> Outcome {
     let cache = CacheConfig::fully_associative(64, words_for(kind)).expect("valid cache");
     with_protocol!(kind, p => {
         let cfg = cfg_hook(SystemConfig::new(procs).with_cache(cache));
         let mut sys = System::new(p, cfg).expect("valid system");
         let report = sys.run(&mut workload, MAX_CYCLES).unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert!(report.completed, "{kind} on {procs} processors did not complete");
-        report.stats
+        Outcome {
+            stats: report.stats,
+            faults: report.faults,
+            directories: (0..procs).map(|c| sys.directory_stats(CacheId(c)).clone()).collect(),
+        }
     })
+}
+
+/// An I/O script on every protocol: copies spread and go stale under
+/// processor traffic while input, paging output and non-paging output
+/// snoop them. Renders each protocol's statistics, the blocks the I/O
+/// processor read, and every cache's final line states.
+fn io_script() -> String {
+    let mut text = String::new();
+    for kind in ProtocolKind::ALL {
+        let words = words_for(kind);
+        let cache = CacheConfig::fully_associative(16, words).expect("valid cache");
+        with_protocol!(kind, p => {
+            let mut sys =
+                System::new(p, SystemConfig::new(4).with_cache(cache)).expect("valid system");
+            let block = |b: u64| BlockAddr(b);
+            let addr = |b: u64| Addr(b * words as u64);
+            let script = |sys: &mut System<_>, ops: Vec<(usize, ProcOp)>| {
+                let ops = ops.into_iter().map(|(i, op)| (ProcId(i), op)).collect();
+                sys.run_script(ops, MAX_CYCLES).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            };
+            script(&mut sys, vec![
+                (0, ProcOp::read(addr(0))),
+                (1, ProcOp::read(addr(0))),
+                (2, ProcOp::read(addr(0))),
+                (3, ProcOp::write(addr(0), Word(7))),
+                (1, ProcOp::read(addr(1))),
+                (2, ProcOp::write(addr(1), Word(8))),
+            ]);
+            let mut seen = vec![sys.io_output(block(0), false).expect("io output")];
+            script(&mut sys, vec![(0, ProcOp::read(addr(0))), (1, ProcOp::write(addr(0), Word(9)))]);
+            let input: Vec<Word> = (20..20 + words as u64).map(Word).collect();
+            sys.io_input(block(0), &input).expect("io input");
+            sys.io_input(block(5), &input).expect("io input");
+            script(&mut sys, vec![
+                (2, ProcOp::read(addr(0))),
+                (3, ProcOp::read(addr(1))),
+                (0, ProcOp::write(addr(1), Word(11))),
+            ]);
+            // A paged-out block's memory copy is dead until it is paged in.
+            seen.push(sys.io_output(block(1), true).expect("io output"));
+            sys.io_input(block(1), &input).expect("io input");
+            seen.push(sys.io_output(block(0), false).expect("io output"));
+            script(&mut sys, vec![(1, ProcOp::read(addr(1))), (2, ProcOp::write(addr(0), Word(12)))]);
+            seen.push(sys.io_output(block(0), true).expect("io output"));
+            let states: Vec<String> = (0..4)
+                .flat_map(|c| (0..2).map(move |b| (c, b)))
+                .map(|(c, b)| sys.state_of(CacheId(c), block(b)).to_string())
+                .collect();
+            text += &format!("{kind}: {:?} {seen:?} {states:?}\n", sys.stats());
+        });
+    }
+    text
 }
 
 fn lock_workload(
@@ -122,8 +195,9 @@ fn lock_workload(
         .build()
 }
 
-/// Every grid cell's label and statistics, in table order.
-fn grid() -> Vec<(String, Stats)> {
+/// Every grid cell's label and the text its digest covers (the `Stats`
+/// debug rendering unless noted), in table order.
+fn grid() -> Vec<(String, String)> {
     let mut cells = Vec::new();
     for kind in ProtocolKind::ALL {
         let words = words_for(kind);
@@ -138,27 +212,29 @@ fn grid() -> Vec<(String, Stats)> {
             .think_cycles(15)
             .iterations(6)
             .build();
-        cells.push((format!("{id}/cs/4"), run(kind, 4, |c| c, cs)));
+        cells.push((format!("{id}/cs/4"), stats_text(run(kind, 4, |c| c, cs))));
         let rs = RandomSharingWorkload::new(RandomSharingConfig {
             refs_per_proc: 400,
             seed: 0x601D,
             ..Default::default()
         });
-        cells.push((format!("{id}/rs/4"), run(kind, 4, |c| c, rs)));
+        cells.push((format!("{id}/rs/4"), stats_text(run(kind, 4, |c| c, rs))));
         let pc = ProducerConsumerWorkload::new(6, 3, 5).with_words_per_block(words);
-        cells.push((format!("{id}/pc/4"), run(kind, 4, |c| c, pc)));
+        cells.push((format!("{id}/pc/4"), stats_text(run(kind, 4, |c| c, pc))));
     }
     let bd = ProtocolKind::BitarDespain;
+    let mut directories = String::new();
     for procs in [64, 130] {
         let w = lock_workload(LockSchemeKind::CacheLock, 4, 2);
-        cells.push((
-            format!("bitar-despain/cache-lock/{procs}"),
-            run(bd, procs, |c| c, w),
-        ));
+        let out = run(bd, procs, |c| c, w);
+        if procs == 64 {
+            directories = format!("{:?}", out.directories);
+        }
+        cells.push((format!("bitar-despain/cache-lock/{procs}"), stats_text(out)));
     }
     let tas = ProtocolKind::Illinois;
     let w = lock_workload(LockSchemeKind::TestAndSet, 4, 2);
-    cells.push(("illinois/tas/64".to_string(), run(tas, 64, |c| c, w)));
+    cells.push(("illinois/tas/64".to_string(), stats_text(run(tas, 64, |c| c, w))));
     let ready = CriticalSectionWorkload::builder()
         .scheme(LockSchemeKind::CacheLock)
         .words_per_block(4)
@@ -172,7 +248,7 @@ fn grid() -> Vec<(String, Stats)> {
         .build();
     cells.push((
         "bitar-despain/ready-sections/4".to_string(),
-        run(bd, 4, |c| c, ready),
+        stats_text(run(bd, 4, |c| c, ready)),
     ));
     let timeouts = lock_workload(LockSchemeKind::CacheLock, 4, 3);
     let plan = FaultPlan::new(0xDEAD)
@@ -181,9 +257,40 @@ fn grid() -> Vec<(String, Stats)> {
         .backoff(2, 64);
     cells.push((
         "bitar-despain/lost-unlock-timeouts/8".to_string(),
-        run(bd, 8, |c| c.with_faults(plan), timeouts),
+        stats_text(run(bd, 8, |c| c.with_faults(plan), timeouts)),
     ));
+    // Rudolph-Segall's write-through updates every copy and revalidates
+    // invalid ones, so its writes must still reach stale frames.
+    let rs = RandomSharingWorkload::new(RandomSharingConfig {
+        refs_per_proc: 300,
+        seed: 0x5A1E,
+        ..Default::default()
+    });
+    cells.push((
+        "rudolph-segall/rs/16".to_string(),
+        stats_text(run(ProtocolKind::RudolphSegall, 16, |c| c, rs)),
+    ));
+    cells.push(("bitar-despain/cache-lock/64/directories".to_string(), directories));
+    // Every resident frame a dropped-snoop plan visits draws from the
+    // fault stream, invalid copies included. Digests Stats and FaultStats.
+    let w = lock_workload(LockSchemeKind::CacheLock, 4, 2);
+    let plan = FaultPlan::new(0xD809).drop_snoop(DROP_PERMILLE);
+    let out = run(bd, 16, |c| c.with_faults(plan), w);
+    let faults = out.faults.clone().expect("fault layer on");
+    assert!(faults.dropped_snoops > 0, "the plan must drop snoops");
+    cells.push((
+        "bitar-despain/cache-lock/16/dropped-snoops".to_string(),
+        format!("{:?} {faults:?}", out.stats),
+    ));
+    cells.push(("io-script/4".to_string(), io_script()));
     cells
+}
+
+/// Dropped-snoop rate of the fault cell, per mille.
+const DROP_PERMILLE: u16 = 20;
+
+fn stats_text(out: Outcome) -> String {
+    format!("{:?}", out.stats)
 }
 
 #[test]
@@ -191,7 +298,7 @@ fn stats_digests_match_the_recorded_grid() {
     let cells = grid();
     let actual: Vec<(String, u64)> = cells
         .iter()
-        .map(|(label, stats)| (label.clone(), fnv1a(format!("{stats:?}").as_bytes())))
+        .map(|(label, text)| (label.clone(), fnv1a(text.as_bytes())))
         .collect();
     let table: String = actual
         .iter()
