@@ -51,11 +51,19 @@ done
 # Benchmark correctness smoke: every simbench workload must reproduce its
 # golden Stats, JSONL and report digests, which the last output line
 # reports as `"correct": true`.
-for workload in dense_sharing lock_handoff observed_locks experiment_suite; do
-  last=$(python3 simbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+# One traced lock_handoff run too: the traced run wraps the protocol,
+# workload and sinks to count snoops per transaction, and must reproduce
+# the untraced digests.
+simbench_correct() {
+  local workload=$1 trace=$2 last
+  last=$(python3 simbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace "$trace" | tail -n 1)
   case "$last" in
     *'"correct": true'*) ;;
-    *) echo "ci.sh: simbench $workload is not correct: $last" >&2; exit 1 ;;
+    *) echo "ci.sh: simbench $workload (trace $trace) is not correct: $last" >&2; exit 1 ;;
   esac
+}
+for workload in dense_sharing lock_handoff observed_locks experiment_suite; do
+  simbench_correct "$workload" 0
 done
+simbench_correct lock_handoff 1
 echo "ci.sh: all checks passed"

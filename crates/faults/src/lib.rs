@@ -165,6 +165,12 @@ impl FaultPlan {
         shifted.min(self.backoff_cap_txns)
     }
 
+    /// True when snoop replies can be dropped: every snoop then draws from
+    /// the fault stream, so a snooper cannot be skipped unseen.
+    pub fn drops_snoops(&self) -> bool {
+        self.dropped_snoop > 0
+    }
+
     /// True when no knob can ever fire (the plan is pure configuration).
     pub fn is_inert(&self) -> bool {
         self.lost_unlock == 0

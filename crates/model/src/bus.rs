@@ -99,6 +99,29 @@ pub enum BusOp {
 }
 
 impl BusOp {
+    /// Every request code, one per mnemonic.
+    pub const ALL: [BusOp; 19] = [
+        BusOp::Fetch { privilege: Privilege::Read, need_data: true },
+        BusOp::Fetch { privilege: Privilege::Read, need_data: false },
+        BusOp::Fetch { privilege: Privilege::Write, need_data: true },
+        BusOp::Fetch { privilege: Privilege::Write, need_data: false },
+        BusOp::Fetch { privilege: Privilege::Lock, need_data: true },
+        BusOp::Fetch { privilege: Privilege::Lock, need_data: false },
+        BusOp::Invalidate,
+        BusOp::WriteWord { target: UpdateTarget::Invalidate },
+        BusOp::WriteWord { target: UpdateTarget::ValidCopies },
+        BusOp::WriteWord { target: UpdateTarget::AllCopies },
+        BusOp::UpdateWord { to_memory: false },
+        BusOp::UpdateWord { to_memory: true },
+        BusOp::ClaimNoFetch,
+        BusOp::UnlockBroadcast,
+        BusOp::Flush,
+        BusOp::MemoryRmw,
+        BusOp::IoInput,
+        BusOp::IoOutput { paging: true },
+        BusOp::IoOutput { paging: false },
+    ];
+
     /// Does this transaction move a whole block of data?
     pub fn transfers_block(self) -> bool {
         matches!(
@@ -268,29 +291,8 @@ mod tests {
 
     #[test]
     fn mnemonics_are_unique() {
-        let ops = [
-            BusOp::Fetch { privilege: Privilege::Read, need_data: true },
-            BusOp::Fetch { privilege: Privilege::Read, need_data: false },
-            BusOp::Fetch { privilege: Privilege::Write, need_data: true },
-            BusOp::Fetch { privilege: Privilege::Write, need_data: false },
-            BusOp::Fetch { privilege: Privilege::Lock, need_data: true },
-            BusOp::Fetch { privilege: Privilege::Lock, need_data: false },
-            BusOp::Invalidate,
-            BusOp::WriteWord { target: UpdateTarget::Invalidate },
-            BusOp::WriteWord { target: UpdateTarget::ValidCopies },
-            BusOp::WriteWord { target: UpdateTarget::AllCopies },
-            BusOp::UpdateWord { to_memory: false },
-            BusOp::UpdateWord { to_memory: true },
-            BusOp::ClaimNoFetch,
-            BusOp::UnlockBroadcast,
-            BusOp::Flush,
-            BusOp::MemoryRmw,
-            BusOp::IoInput,
-            BusOp::IoOutput { paging: true },
-            BusOp::IoOutput { paging: false },
-        ];
         let mut seen = std::collections::HashSet::new();
-        for op in ops {
+        for op in BusOp::ALL {
             assert!(seen.insert(op.mnemonic()), "duplicate mnemonic {}", op.mnemonic());
         }
     }

@@ -231,9 +231,14 @@ pub trait Protocol: Send + Sync + 'static {
     fn proc_access(&self, state: Self::State, kind: AccessKind) -> ProcAction<Self::State>;
 
     /// Entry point 2: another agent's transaction `txn` is broadcast while
-    /// this cache holds a line for `txn.block` in `state` (valid *or*
-    /// invalid — invalid tag-matching lines snoop too, which
-    /// Rudolph-Segall's update-invalid-copies scheme relies on).
+    /// this cache holds a line for `txn.block` in `state`.
+    ///
+    /// **Contract:** a line whose state is invalid must answer
+    /// [`SnoopOutcome::ignore`] (same state, no reply line driven) to every
+    /// transaction except a `WriteWord { target: AllCopies }` write-through,
+    /// which may revalidate it (Rudolph-Segall's update-invalid-copies
+    /// scheme). The simulator relies on this: it snoops only valid copies,
+    /// plus every resident frame under `AllCopies`.
     fn snoop(&self, state: Self::State, txn: &BusTxn) -> SnoopOutcome<Self::State>;
 
     /// Entry point 3: this cache's own transaction finished. `kind` is the

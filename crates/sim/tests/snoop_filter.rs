@@ -1,26 +1,29 @@
-//! Seeded property test for the holder-bitmask snoop filter: after every
-//! bus transaction, the per-block holder bitmask in main memory must be
-//! **exact** — bit `i` set iff cache `i` holds a frame (valid *or invalid
-//! copy*) for the block, on every protocol.
+//! Seeded property test for the snoop filter's two per-block bitmasks in
+//! main memory. After every bus transaction both must be **exact**, on
+//! every protocol: the holder mask has bit `i` set iff cache `i` holds a
+//! frame (valid *or invalid copy*) for the block, and the stale mask has
+//! bit `i` set iff that frame is an invalid copy.
 //!
 //! Two layers enforce this:
 //!
 //! 1. With the `debug-checks` feature (on by default, and always on for
-//!    tests), [`System`] asserts per-transaction exactness for the block a
-//!    transaction touched, so merely *running* the scripts here sweeps the
-//!    invariant after every bus transaction.
+//!    tests), [`System`] asserts per-transaction exactness of both masks
+//!    for the block a transaction touched, and checks that every invalid
+//!    copy the snoop loop skipped would have ignored the transaction. So
+//!    merely *running* the scripts here sweeps those invariants after every
+//!    bus transaction.
 //! 2. This test additionally calls the whole-state check
 //!    `assert_snoop_filter_exact` after each run, which cross-checks every
-//!    block in every cache against the mask map in both directions
-//!    (no stale bits, no missing bits).
+//!    block in every cache against both mask maps in both directions
+//!    (no extra bits, no missing bits).
 //!
 //! Both the filter-enabled and filter-disabled configurations are covered:
-//! the mask is *maintained* whenever `processors <= 64`, regardless of
-//! whether lookups consult it, so exactness must hold in both.
+//! the masks are *maintained* whenever `processors <= 64`, regardless of
+//! whether lookups consult them, so exactness must hold in both.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
-use mcs_model::{Addr, ProcId, ProcOp, Rng64, Word};
+use mcs_model::{Addr, BlockAddr, ProcId, ProcOp, Rng64, Word};
 use mcs_sim::{System, SystemConfig};
 
 /// A random script over `procs` processors and a deliberately tight address
@@ -73,6 +76,49 @@ fn holder_bitmask_exact_after_every_txn() {
         for kind in ProtocolKind::ALL {
             run_and_check(kind, &ops, PROCS, true);
             run_and_check(kind, &ops, PROCS, false);
+        }
+    }
+}
+
+/// I/O input and output snoop through the same filter as processor
+/// transactions: random scripts interleaved with I/O transfers keep both
+/// masks exact on every protocol, with the filter on and off.
+#[test]
+fn masks_exact_across_io_transfers() {
+    const PROCS: usize = 3;
+    for case in 0..6u64 {
+        let mut rng = Rng64::seed_from_u64(0x10_F117E5 ^ case);
+        // Per round: a script, then an I/O transfer at a word address
+        // (0: input, 1: output, 2: paging output).
+        let rounds: Vec<_> = (0..6)
+            .map(|_| {
+                let len = 10 + rng.gen_range_usize(0..30);
+                (random_ops(&mut rng, PROCS, len), rng.gen_range_u64(0..96), rng.gen_range_u64(0..3))
+            })
+            .collect();
+        for kind in ProtocolKind::ALL {
+            let words = if kind.requires_word_blocks() { 1 } else { 4 };
+            let cache = CacheConfig::set_associative(4, 2, words).expect("valid cache");
+            for filter in [true, false] {
+                with_protocol!(kind, p => {
+                    let cfg = SystemConfig::new(PROCS).with_cache(cache).with_snoop_filter(filter);
+                    let mut sys = System::new(p, cfg).expect("valid system");
+                    for (round, (ops, word, io)) in rounds.iter().enumerate() {
+                        sys.run_script(ops.clone(), 2_000_000)
+                            .unwrap_or_else(|e| panic!("{kind} (filter={filter}): {e}"));
+                        let block = BlockAddr(word / words as u64);
+                        let io_result = match io {
+                            0 => sys.io_input(block, &vec![Word(1000 + round as u64); words]),
+                            1 => sys.io_output(block, false).map(drop),
+                            // A paged-out block is paged straight back in:
+                            // its memory copy is dead until then.
+                            _ => sys.io_output(block, true).and_then(|data| sys.io_input(block, &data)),
+                        };
+                        io_result.unwrap_or_else(|e| panic!("{kind} (filter={filter}) I/O: {e}"));
+                        sys.assert_snoop_filter_exact();
+                    }
+                });
+            }
         }
     }
 }

@@ -5,7 +5,10 @@
 
 use mcs::cache::CacheConfig;
 use mcs::core::{with_protocol, ProtocolKind};
-use mcs::model::{Addr, ProcId, ProcOp, Stats, Word};
+use mcs::model::{
+    Addr, AgentId, BlockAddr, BusOp, BusTxn, CacheId, LineState, ProcId, ProcOp, Protocol,
+    SnoopOutcome, Stats, UpdateTarget, Word,
+};
 use mcs::sim::{System, SystemConfig};
 
 /// The canonical scenario: P0 reads a block, P1 reads it too, P0 writes it
@@ -142,4 +145,33 @@ fn total_bus_cycles_rank_matches_section_d() {
     let classic = cycles(ProtocolKind::ClassicWriteThrough);
     assert!(bitar < classic, "write-in {bitar} must beat write-through {classic}");
     assert!(dragon < classic, "updates {dragon} must beat full write-through {classic}");
+}
+
+/// The `Protocol::snoop` contract the simulator's snoop filter relies on:
+/// an invalid copy ignores every transaction (keeps its state, drives no
+/// reply line), except a write-through that targets invalid copies too.
+fn assert_invalid_copies_ignore_snoops<P: Protocol>(kind: ProtocolKind, p: &P) {
+    let invalid = P::State::invalid();
+    for op in BusOp::ALL {
+        if op == (BusOp::WriteWord { target: UpdateTarget::AllCopies }) {
+            continue;
+        }
+        for high_priority in [false, true] {
+            for requester in [AgentId::Cache(CacheId(1)), AgentId::Io] {
+                let txn = BusTxn { op, block: BlockAddr(3), requester, high_priority };
+                assert_eq!(
+                    p.snoop(invalid, &txn),
+                    SnoopOutcome::ignore(invalid),
+                    "{kind}: an invalid copy must ignore {txn}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn invalid_copies_ignore_every_snoop_but_update_all() {
+    for kind in ProtocolKind::ALL {
+        with_protocol!(kind, p => assert_invalid_copies_ignore_snoops(kind, &p));
+    }
 }
