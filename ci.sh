@@ -25,6 +25,15 @@ cargo build --release --offline -p mcs-bench
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# No process-global modes: a mutable static (an atomic, lock, once-cell
+# or cell, or `static mut`) in crate sources would let one caller steer
+# other runs from a distance. A run's configuration belongs at its call
+# site, in its `RunSpec` or `SystemConfig`.
+if grep -rnE '^\s*(pub(\([a-z]+\))?\s+)?static\s+(mut\s|[A-Za-z0-9_]+\s*:[^=]*(Atomic|Mutex|RwLock|OnceLock|Cell))' crates/*/src; then
+  echo "ci.sh: mutable static declared in crates/*/src (listed above)" >&2
+  exit 1
+fi
+
 # Perf smoke: require random-sharing throughput to stay above half the
 # committed BENCH_hotpath.json figure. Generous on purpose — it catches
 # "the hot path fell off a cliff", not noise.

@@ -40,7 +40,7 @@
 //! **half** the recorded figure (a generous floor — it catches order-of-
 //! magnitude regressions, not machine-to-machine noise).
 
-use mcs_bench::experiments::{self, e2_locking, e3_busywait, run_cs};
+use mcs_bench::experiments::{e2_locking, e3_busywait, run_cs};
 use mcs_bench::harness::{time, RunSpec};
 use mcs_bench::sweep;
 use mcs_core::ProtocolKind;
@@ -121,8 +121,8 @@ fn measure_workload(
 // ---- sweep wall-clock ---------------------------------------------------
 
 /// One E2-shaped grid point at benchmark scale; returns simulated cycles.
-fn e2_point(kind: ProtocolKind, scheme: LockSchemeKind) -> u64 {
-    run_cs(kind, 4, scheme, 4, 64, |b| {
+fn e2_point(&(kind, scheme): &(ProtocolKind, LockSchemeKind), mode: EngineMode) -> u64 {
+    run_cs(RunSpec::new(kind).engine(mode), scheme, |b| {
         b.locks(1)
             .payload_blocks(1)
             .payload_reads(2)
@@ -134,15 +134,9 @@ fn e2_point(kind: ProtocolKind, scheme: LockSchemeKind) -> u64 {
     .cycles
 }
 
-fn e2_grid() -> u64 {
-    sweep::sweep(&e2_locking::CONTENDERS, |_, &(kind, scheme)| e2_point(kind, scheme))
-        .into_iter()
-        .sum()
-}
-
 /// One E3-shaped grid point at benchmark scale; returns simulated cycles.
-fn e3_point(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> u64 {
-    run_cs(kind, procs, scheme, 4, 64, |b| {
+fn e3_point(&(kind, scheme, procs): &(ProtocolKind, LockSchemeKind, usize), mode: EngineMode) -> u64 {
+    run_cs(RunSpec::new(kind).procs(procs).engine(mode), scheme, |b| {
         b.locks(1)
             .payload_blocks(1)
             .payload_reads(1)
@@ -154,32 +148,35 @@ fn e3_point(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> u64 {
     .cycles
 }
 
-fn e3_grid() -> u64 {
+/// The E3 scheme x processor grid.
+fn e3_grid() -> Vec<(ProtocolKind, LockSchemeKind, usize)> {
     let contenders = [
         (ProtocolKind::BitarDespain, LockSchemeKind::CacheLock),
         (ProtocolKind::Illinois, LockSchemeKind::TestAndSet),
         (ProtocolKind::Illinois, LockSchemeKind::TestAndTestAndSet),
     ];
-    let grid: Vec<(ProtocolKind, LockSchemeKind, usize)> = contenders
+    contenders
         .iter()
         .flat_map(|&(kind, scheme)| {
             e3_busywait::PROC_SWEEP.iter().map(move |&procs| (kind, scheme, procs))
         })
-        .collect();
-    sweep::sweep(&grid, |_, &(kind, scheme, procs)| e3_point(kind, scheme, procs))
-        .into_iter()
-        .sum()
+        .collect()
 }
 
-fn measure_sweep(name: &'static str, detail: &str, grid: impl Fn() -> u64) -> Measurement {
-    // Before: the original configuration — serial grid, per-cycle stepping.
-    sweep::set_max_threads(1);
-    experiments::force_cycle_accurate(true);
-    let (before_cycles, before_s) = time(&grid);
-    // After: threaded grid on the event-driven engine.
-    experiments::force_cycle_accurate(false);
-    sweep::set_max_threads(0);
-    let (after_cycles, after_s) = time(&grid);
+/// Times a grid twice: "before" is the original configuration (a serial
+/// loop on the cycle-accurate engine), "after" the event-driven engine
+/// fanned out over `sweep` threads. Both sum the points' simulated cycles.
+fn measure_sweep<P: Sync>(
+    name: &'static str,
+    detail: &str,
+    grid: &[P],
+    point: impl Fn(&P, EngineMode) -> u64 + Sync,
+) -> Measurement {
+    let (before_cycles, before_s) =
+        time(|| grid.iter().map(|p| point(p, EngineMode::CycleAccurate)).sum::<u64>());
+    let (after_cycles, after_s) = time(|| {
+        sweep::sweep(grid, |_, p| point(p, EngineMode::EventDriven)).into_iter().sum::<u64>()
+    });
     assert_eq!(before_cycles, after_cycles, "{name}: engine modes must agree on cycles");
     Measurement { name, detail: detail.to_string(), sim_cycles: after_cycles, before_s, after_s }
 }
@@ -519,12 +516,14 @@ fn main() {
         measure_sweep(
             "e2_locking_sweep",
             "E2 contender grid (4 points), benchmark scale: think 3000, 400 iterations",
-            e2_grid,
+            &e2_locking::CONTENDERS,
+            e2_point,
         ),
         measure_sweep(
             "e3_busywait_sweep",
             "E3 scheme x processor grid (12 points), benchmark scale: think 3000, 150 iterations",
-            e3_grid,
+            &e3_grid(),
+            e3_point,
         ),
     ];
     for m in &sweeps {

@@ -1,4 +1,4 @@
-//! Runs the measured experiments E1-E10 (see DESIGN.md section 5 and
+//! Runs the measured experiments E1-E13 (see DESIGN.md section 5 and
 //! EXPERIMENTS.md).
 //!
 //! Usage: `exp [eN ...]` runs the named experiments (e1..e13), or all of them

@@ -87,16 +87,15 @@ const SCENARIOS: [Scenario; 7] = [
     },
 ];
 
-fn workload(kind: ProtocolKind) -> CriticalSectionWorkload {
+fn workload(kind: ProtocolKind, spec: &RunSpec) -> CriticalSectionWorkload {
     let scheme = if kind == ProtocolKind::BitarDespain {
         LockSchemeKind::CacheLock
     } else {
         LockSchemeKind::TestAndSet
     };
-    let words = if kind.requires_word_blocks() { 1 } else { 4 };
     CriticalSectionWorkload::builder()
         .scheme(scheme)
-        .words_per_block(words)
+        .words_per_block(spec.words_per_block())
         .locks(1)
         .payload_blocks(2)
         .payload_reads(2)
@@ -109,11 +108,11 @@ fn workload(kind: ProtocolKind) -> CriticalSectionWorkload {
 /// One cell outcome: a short classification plus the exact stats for the
 /// determinism comparison.
 fn run_cell(kind: ProtocolKind, scenario: &Scenario) -> (String, mcs_model::Stats) {
-    let run = RunSpec::new(kind)
+    let spec = RunSpec::new(kind)
         .faults((scenario.plan)())
         .watchdog(WatchdogConfig::new().check_interval(5_000).stall_threshold(100_000))
-        .max_cycles(10_000_000)
-        .try_run(&mut workload(kind), None);
+        .max_cycles(10_000_000);
+    let run = spec.try_run(&mut workload(kind, &spec), None);
     let label = match (&run.error, run.completed) {
         (Some(SimError::Watchdog(trip)), _) => format!("watchdog({})", trip.kind.id()),
         (Some(SimError::Oracle(_)), _) => "oracle".to_string(),

@@ -12,7 +12,8 @@
 //! requirement) under rising contention; we report bus cycles per critical
 //! section and unsuccessful attempts per acquisition.
 
-use super::{measure_point, ContenderOutcome};
+use super::{cache, run_cs};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
@@ -26,6 +27,31 @@ pub const CONTENDERS: [(ProtocolKind, LockSchemeKind, &str); 3] = [
     (ProtocolKind::RudolphSegall, LockSchemeKind::TestAndTestAndSet, "rudolph-segall(ttas)"),
     (ProtocolKind::RudolphSegall, LockSchemeKind::TestAndSet, "rudolph-segall(tas)"),
 ];
+
+/// A compact outcome of one contention sweep point.
+#[derive(Debug, Clone, Copy)]
+pub struct ContenderOutcome {
+    /// Completed critical sections.
+    pub sections: u64,
+    /// Bus busy cycles per completed section.
+    pub cycles_per_section: f64,
+    /// Unsuccessful lock attempts per acquisition.
+    pub failed_per_acquire: f64,
+}
+
+/// One sweep point on 128 one-word blocks (Rudolph-Segall's requirement;
+/// both schemes run the same geometry).
+pub fn point(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> ContenderOutcome {
+    let spec = RunSpec::new(kind).procs(procs).cache(cache(128, 1));
+    let out = run_cs(spec, scheme, |b| {
+        b.locks(1).payload_blocks(2).payload_reads(1).payload_writes(2).think_cycles(10).iterations(10)
+    });
+    ContenderOutcome {
+        sections: out.sections,
+        cycles_per_section: out.bus_cycles_per_section(),
+        failed_per_acquire: out.failed_attempts_per_acquire(),
+    }
+}
 
 /// Runs the sweep.
 pub fn run() -> Report {
@@ -42,7 +68,7 @@ pub fn run() -> Report {
         .collect();
     for ((_, _, label, procs), out) in grid.iter().zip(crate::sweep::sweep(
         &grid,
-        |_, &(kind, scheme, _, procs)| measure_point(kind, scheme, procs),
+        |_, &(kind, scheme, _, procs)| point(kind, scheme, procs),
     )) {
         report.row(vec![
             label.to_string(),
@@ -52,11 +78,6 @@ pub fn run() -> Report {
         ]);
     }
     report
-}
-
-/// One sweep point, shared with the tests.
-pub fn point(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> ContenderOutcome {
-    measure_point(kind, scheme, procs)
 }
 
 #[cfg(test)]

@@ -16,11 +16,12 @@
 //! that method; method 3 runs the software retry machine of
 //! [`mcs_sync::rmw::OptimisticRmw`].
 
+use super::MAX_CYCLES;
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
-use mcs_core::BitarDespain;
-use mcs_model::{Addr, ProcId, ProcOp, Protocol, Word};
-use mcs_protocols::{Illinois, RudolphSegall};
-use mcs_sim::{AccessResult, System, SystemConfig, WorkItem, Workload};
+use mcs_core::ProtocolKind;
+use mcs_model::{Addr, ProcId, ProcOp, Word};
+use mcs_sim::{AccessResult, WorkItem, Workload};
 use mcs_sync::rmw::{OptimisticRmw, RmwStep};
 use std::collections::HashSet;
 
@@ -147,16 +148,10 @@ impl Workload for SwapWorkload {
     }
 }
 
-fn run_method<P: Protocol>(
-    method: &'static str,
-    protocol: P,
-    words: usize,
-    optimistic: bool,
-) -> MethodOutcome {
-    let cache = mcs_cache::CacheConfig::fully_associative(64, words).unwrap();
+fn run_method(method: &'static str, kind: ProtocolKind, optimistic: bool) -> MethodOutcome {
     let mut workload = SwapWorkload::new(optimistic);
-    let mut sys = System::new(protocol, SystemConfig::new(PROCS).with_cache(cache)).unwrap();
-    let stats = sys.run_workload(&mut workload, 20_000_000).unwrap();
+    let spec = RunSpec::new(kind).procs(PROCS).max_cycles(MAX_CYCLES);
+    let stats = spec.run(&mut workload, None).stats;
     MethodOutcome {
         method,
         serialized: workload.chain_is_serial(),
@@ -168,10 +163,10 @@ fn run_method<P: Protocol>(
 /// All four methods.
 pub fn outcomes() -> Vec<MethodOutcome> {
     vec![
-        run_method("1 hold-memory (Rudolph-Segall)", RudolphSegall, 1, false),
-        run_method("2 fetch-and-hold-cache (Illinois)", Illinois, 4, false),
-        run_method("3 optimistic-abort (Illinois)", Illinois, 4, true),
-        run_method("4 lock-state (proposal)", BitarDespain, 4, false),
+        run_method("1 hold-memory (Rudolph-Segall)", ProtocolKind::RudolphSegall, false),
+        run_method("2 fetch-and-hold-cache (Illinois)", ProtocolKind::Illinois, false),
+        run_method("3 optimistic-abort (Illinois)", ProtocolKind::Illinois, true),
+        run_method("4 lock-state (proposal)", ProtocolKind::BitarDespain, false),
     ]
 }
 

@@ -12,6 +12,7 @@
 //! (Dragon, Firefly, classic write-through).
 
 use super::{run_cs, CsOutcome};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
@@ -30,7 +31,7 @@ pub const CONTENDERS: [(ProtocolKind, LockSchemeKind); 5] = [
 
 /// One measured point.
 pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind, k: usize) -> CsOutcome {
-    run_cs(kind, 4, scheme, 4, 64, |b| {
+    run_cs(RunSpec::new(kind), scheme, |b| {
         b.locks(2).payload_blocks(1).payload_reads(1).payload_writes(k).think_cycles(40).iterations(15)
     })
 }

@@ -10,6 +10,7 @@
 //! * no blocks are devoted to lock bits under write-in.
 
 use super::{run_cs, CsOutcome};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
@@ -24,14 +25,15 @@ pub const CONTENDERS: [(ProtocolKind, LockSchemeKind); 4] = [
 
 /// Moderate contention: four processors, one lock, short sections.
 pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind) -> CsOutcome {
-    run_cs(kind, 4, scheme, 4, 64, |b| {
+    run_cs(RunSpec::new(kind), scheme, |b| {
         b.locks(1).payload_blocks(1).payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
     })
 }
 
 /// Uncontended repeated re-locking by one processor: the zero-time path.
 pub fn measure_uncontended() -> CsOutcome {
-    run_cs(ProtocolKind::BitarDespain, 1, LockSchemeKind::CacheLock, 4, 64, |b| {
+    let spec = RunSpec::new(ProtocolKind::BitarDespain).procs(1);
+    run_cs(spec, LockSchemeKind::CacheLock, |b| {
         b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(1).think_cycles(5).iterations(30)
     })
 }

@@ -12,6 +12,7 @@
 //!    we measure how much of the lock-wait time remains useful.
 
 use super::{run_cs, CsOutcome};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
@@ -21,14 +22,15 @@ pub const PROC_SWEEP: [usize; 4] = [2, 4, 6, 8];
 
 /// One sweep point under heavy contention (one lock, no think time).
 pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> CsOutcome {
-    run_cs(kind, procs, scheme, 4, 64, |b| {
+    run_cs(RunSpec::new(kind).procs(procs), scheme, |b| {
         b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(2).think_cycles(10).iterations(12)
     })
 }
 
 /// The work-while-waiting variant: waiters run a ready section.
 pub fn measure_work_while_waiting(procs: usize) -> CsOutcome {
-    run_cs(ProtocolKind::BitarDespain, procs, LockSchemeKind::CacheLock, 4, 64, |b| {
+    let spec = RunSpec::new(ProtocolKind::BitarDespain).procs(procs);
+    run_cs(spec, LockSchemeKind::CacheLock, |b| {
         b.locks(1)
             .payload_blocks(1)
             .payload_reads(1)

@@ -10,7 +10,8 @@
 //! references) on the Smith-calibrated random workload, plus the resulting
 //! directory-interference cycles under the three directory organizations.
 
-use super::run_random;
+use super::{cache, run_random};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_workloads::RandomSharingConfig;
@@ -22,7 +23,7 @@ pub const KINDS: [ProtocolKind; 3] =
 /// Measures the dirty-status change frequency for one protocol.
 pub fn frequency(kind: ProtocolKind) -> f64 {
     let cfg = RandomSharingConfig { refs_per_proc: 6_000, ..Default::default() };
-    let stats = run_random(kind, 4, 4, 128, cfg);
+    let stats = run_random(RunSpec::new(kind).cache(cache(128, 4)), cfg);
     stats.write_hits_to_clean() as f64 / stats.total_refs() as f64
 }
 

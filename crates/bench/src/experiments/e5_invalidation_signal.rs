@@ -10,7 +10,8 @@
 //! (write-through invalidation) against Synapse (invalidate signal) on the
 //! same workload, reporting the fractional increase next to 1/n.
 
-use super::run_random;
+use super::{cache, run_random};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_workloads::RandomSharingConfig;
@@ -30,8 +31,8 @@ fn workload() -> RandomSharingConfig {
 /// Measures the fractional bus-cycle increase of write-through
 /// invalidation over the invalidate signal at block size `n`.
 pub fn fraction(n: usize) -> f64 {
-    let goodman = run_random(ProtocolKind::Goodman, 4, n, 128, workload());
-    let synapse = run_random(ProtocolKind::Synapse, 4, n, 128, workload());
+    let goodman = run_random(RunSpec::new(ProtocolKind::Goodman).cache(cache(128, n)), workload());
+    let synapse = run_random(RunSpec::new(ProtocolKind::Synapse).cache(cache(128, n)), workload());
     (goodman.bus.busy_cycles as f64 - synapse.bus.busy_cycles as f64)
         / synapse.bus.busy_cycles as f64
 }

@@ -10,7 +10,8 @@
 //! Workload: private data only (read-mostly with re-writes), so *every*
 //! upgrade transaction is attributable to the missing feature.
 
-use super::run_random;
+use super::{cache, run_random};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_workloads::RandomSharingConfig;
@@ -30,8 +31,8 @@ fn workload() -> RandomSharingConfig {
 /// Measured pair at block size `n`: (fractional extra bus cycles of the
 /// featureless protocol, upgrade transactions it issued).
 pub fn measure(n: usize) -> (f64, u64) {
-    let without = run_random(ProtocolKind::Synapse, 4, n, 128, workload());
-    let with = run_random(ProtocolKind::Illinois, 4, n, 128, workload());
+    let without = run_random(RunSpec::new(ProtocolKind::Synapse).cache(cache(128, n)), workload());
+    let with = run_random(RunSpec::new(ProtocolKind::Illinois).cache(cache(128, n)), workload());
     let frac = (without.bus.busy_cycles as f64 - with.bus.busy_cycles as f64)
         / with.bus.busy_cycles as f64;
     (frac, without.bus.count("invalidate"))
@@ -54,12 +55,11 @@ pub fn run() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use super::super::run_random;
 
     #[test]
     fn featureless_protocol_issues_upgrades_featureful_does_not() {
-        let without = run_random(ProtocolKind::Synapse, 4, 4, 128, workload());
-        let with = run_random(ProtocolKind::Illinois, 4, 4, 128, workload());
+        let without = run_random(RunSpec::new(ProtocolKind::Synapse).cache(cache(128, 4)), workload());
+        let with = run_random(RunSpec::new(ProtocolKind::Illinois).cache(cache(128, 4)), workload());
         assert!(without.bus.count("invalidate") > 0, "Synapse must upgrade read copies");
         assert_eq!(
             with.bus.count("invalidate"),

@@ -15,7 +15,8 @@
 //! Workload: read-shared working set larger than the (small) caches, so
 //! purges keep deleting sources.
 
-use super::run_random;
+use super::{cache, run_random};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_model::Stats;
@@ -37,7 +38,7 @@ pub fn measure(kind: ProtocolKind) -> Stats {
         write_ratio: 0.05, // read-shared emphasis
         ..Default::default()
     };
-    run_random(kind, 4, 4, 16, cfg)
+    run_random(RunSpec::new(kind).cache(cache(16, 4)), cfg)
 }
 
 /// Fraction of block fetches serviced by another cache.

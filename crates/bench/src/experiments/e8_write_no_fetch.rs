@@ -8,21 +8,18 @@
 //! blocks; we compare bus words and cycles per hop with and without
 //! write-without-fetch.
 
+use super::MAX_CYCLES;
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
-use mcs_cache::CacheConfig;
-use mcs_core::BitarDespain;
+use mcs_core::ProtocolKind;
 use mcs_model::Stats;
-use mcs_sim::{System, SystemConfig};
 use mcs_workloads::MigrationWorkload;
 
 /// Runs the migration workload; returns `(stats, hops)`.
 pub fn measure(use_write_no_fetch: bool, state_blocks: usize) -> (Stats, usize) {
-    let cache = CacheConfig::fully_associative(64, 4).unwrap();
     let mut w = MigrationWorkload::new(4, state_blocks, 12, use_write_no_fetch);
-    let mut sys =
-        System::new(BitarDespain, SystemConfig::new(4).with_cache(cache)).unwrap();
-    let stats = sys.run_workload(&mut w, 10_000_000).unwrap();
-    (stats, w.hops_done())
+    let spec = RunSpec::new(ProtocolKind::BitarDespain).max_cycles(MAX_CYCLES);
+    (spec.run(&mut w, None).stats, w.hops_done())
 }
 
 /// Runs the comparison over state sizes.

@@ -9,6 +9,8 @@
 //! measure bus words per critical section for a small (few-word) atom
 //! bouncing between processors.
 
+use super::{cache, run_cs};
+use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
@@ -16,36 +18,18 @@ use mcs_sync::LockSchemeKind;
 /// Transfer-unit sweep, in words (16 = whole block, i.e. units disabled).
 pub const UNIT_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Words moved per critical section with the given transfer unit.
+/// Words moved per critical section with the given transfer unit, on 32
+/// blocks of 16 words.
 pub fn words_per_section(unit: usize) -> f64 {
-    let words_per_block = 16;
-    let out = run_cs_with_unit(unit, words_per_block);
-    out.0 / out.1 as f64
-}
-
-fn run_cs_with_unit(unit: usize, words_per_block: usize) -> (f64, u64) {
-    use mcs_cache::CacheConfig;
-    use mcs_sim::{System, SystemConfig};
-    use mcs_workloads::CriticalSectionWorkload;
-
-    let mut cache = CacheConfig::fully_associative(32, words_per_block).unwrap();
-    if unit < words_per_block {
-        cache = cache.with_transfer_unit(unit).unwrap();
+    let mut geometry = cache(32, 16);
+    if unit < 16 {
+        geometry = geometry.with_transfer_unit(unit).expect("unit divides the block");
     }
-    let mut w = CriticalSectionWorkload::builder()
-        .scheme(LockSchemeKind::CacheLock)
-        .locks(1)
-        .payload_blocks(1)
-        .payload_reads(1)
-        .payload_writes(2)
-        .think_cycles(20)
-        .iterations(15)
-        .words_per_block(words_per_block)
-        .build();
-    let mut sys =
-        System::new(mcs_core::BitarDespain, SystemConfig::new(4).with_cache(cache)).unwrap();
-    let stats = sys.run_workload(&mut w, 10_000_000).unwrap();
-    (stats.bus.words_transferred as f64, w.completed_sections())
+    let spec = RunSpec::new(ProtocolKind::BitarDespain).cache(geometry);
+    let out = run_cs(spec, LockSchemeKind::CacheLock, |b| {
+        b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(2).think_cycles(20).iterations(15)
+    });
+    out.stats.bus.words_transferred as f64 / out.sections as f64
 }
 
 /// Runs the sweep.
@@ -58,7 +42,6 @@ pub fn run() -> Report {
     for unit in UNIT_SWEEP {
         report.row(vec![unit.to_string(), f(words_per_section(unit))]);
     }
-    let _ = ProtocolKind::BitarDespain; // documented subject of the sweep
     report
 }
 

@@ -1,4 +1,4 @@
-//! The measured experiments E1–E10 (see `DESIGN.md` §5 for the index and
+//! The measured experiments E1–E13 (see `DESIGN.md` §5 for the index and
 //! `EXPERIMENTS.md` for paper-vs-measured).
 //!
 //! Every experiment returns a [`Report`](crate::report::Report); its tests
@@ -19,35 +19,42 @@ pub mod e7_source_policy;
 pub mod e8_write_no_fetch;
 pub mod e9_transfer_units;
 
+use crate::harness::RunSpec;
+use crate::report::Report;
 use mcs_cache::CacheConfig;
-use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::Stats;
-use mcs_sim::{EngineMode, System, SystemConfig};
 use mcs_sync::{LockSchemeKind, LockSchemeStats};
 use mcs_workloads::{
     CriticalSectionBuilder, CriticalSectionWorkload, RandomSharingConfig, RandomSharingWorkload,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Hard ceiling for experiment runs; hitting it means a deadlock.
 const MAX_CYCLES: u64 = 30_000_000;
 
-static CYCLE_ACCURATE: AtomicBool = AtomicBool::new(false);
+/// An experiment's runner.
+type Runner = fn() -> Report;
 
-/// Forces subsequent experiment runs onto the cycle-accurate reference
-/// engine instead of the event-driven default. Results are bit-identical
-/// either way (see `crates/sim/tests/equivalence.rs`); the engine benchmark
-/// uses this to time the pre-optimization baseline.
-pub fn force_cycle_accurate(on: bool) {
-    CYCLE_ACCURATE.store(on, Ordering::Relaxed);
-}
+/// The experiments, E1 first, by CLI id.
+const EXPERIMENTS: [(&str, Runner); 13] = [
+    ("e1", e1_shared_data::run),
+    ("e2", e2_locking::run),
+    ("e3", e3_busywait::run),
+    ("e4", e4_dirty_status::run),
+    ("e5", e5_invalidation_signal::run),
+    ("e6", e6_read_for_write::run),
+    ("e7", e7_source_policy::run),
+    ("e8", e8_write_no_fetch::run),
+    ("e9", e9_transfer_units::run),
+    ("e10", e10_rudolph_segall::run),
+    ("e11", e11_directory::run),
+    ("e12", e12_rmw_methods::run),
+    ("e13", e13_berkeley_wc::run),
+];
 
-fn engine_mode() -> EngineMode {
-    if CYCLE_ACCURATE.load(Ordering::Relaxed) {
-        EngineMode::CycleAccurate
-    } else {
-        EngineMode::EventDriven
-    }
+/// A fully associative cache of `blocks` blocks of `words_per_block`
+/// words, for the experiments that sweep or shrink the geometry.
+fn cache(blocks: usize, words_per_block: usize) -> CacheConfig {
+    CacheConfig::fully_associative(blocks, words_per_block).expect("valid cache geometry")
 }
 
 /// Outcome of a critical-section run.
@@ -91,149 +98,43 @@ impl CsOutcome {
     }
 }
 
-/// Runs a critical-section workload on `kind` with the given lock `scheme`.
+/// Runs a critical-section workload with the given lock `scheme` on the
+/// system `spec` describes, under the experiments' cycle ceiling.
 ///
-/// `configure` tweaks the builder (locks, payload, iterations, …);
-/// `words_per_block`/`cache_blocks` set the cache geometry (Rudolph-Segall
-/// requires one-word blocks).
+/// `configure` tweaks the builder (locks, payload, iterations, …); the
+/// workload lays its atoms out on the spec's block size.
 pub fn run_cs(
-    kind: ProtocolKind,
-    procs: usize,
+    spec: RunSpec,
     scheme: LockSchemeKind,
-    words_per_block: usize,
-    cache_blocks: usize,
     configure: impl Fn(CriticalSectionBuilder) -> CriticalSectionBuilder,
 ) -> CsOutcome {
-    let cache = CacheConfig::fully_associative(cache_blocks, words_per_block)
-        .expect("valid cache geometry");
-    let builder = configure(
-        CriticalSectionWorkload::builder().scheme(scheme).words_per_block(words_per_block),
-    );
-    let mut workload = builder.build();
-    with_protocol!(kind, p => {
-        let mut sys = System::new(p, SystemConfig::new(procs).with_cache(cache).with_engine(engine_mode()))
-            .expect("valid system");
-        let stats = sys
-            .run_workload(&mut workload, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{kind} critical-section run failed: {e}"));
-        CsOutcome {
-            stats,
-            sections: workload.completed_sections(),
-            scheme: *workload.scheme_stats(),
-            mean_acquire: workload.mean_acquire_latency(),
-        }
-    })
-}
-
-/// Runs the Smith-calibrated random-sharing workload on `kind`.
-pub fn run_random(
-    kind: ProtocolKind,
-    procs: usize,
-    words_per_block: usize,
-    cache_blocks: usize,
-    cfg: RandomSharingConfig,
-) -> Stats {
-    let cache = CacheConfig::fully_associative(cache_blocks, words_per_block)
-        .expect("valid cache geometry");
-    with_protocol!(kind, p => {
-        let mut sys = System::new(p, SystemConfig::new(procs).with_cache(cache).with_engine(engine_mode()))
-            .expect("valid system");
-        sys.run_workload(RandomSharingWorkload::new(cfg), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{kind} random run failed: {e}"))
-    })
-}
-
-/// All experiment reports, in order, for the `exp` binary.
-pub fn all() -> Vec<crate::report::Report> {
-    // Each experiment is an independent deterministic simulation; fan the
-    // thirteen runners out over threads, reports returned in E1..E13 order.
-    let runners: [fn() -> crate::report::Report; 13] = [
-        e1_shared_data::run,
-        e2_locking::run,
-        e3_busywait::run,
-        e4_dirty_status::run,
-        e5_invalidation_signal::run,
-        e6_read_for_write::run,
-        e7_source_policy::run,
-        e8_write_no_fetch::run,
-        e9_transfer_units::run,
-        e10_rudolph_segall::run,
-        e11_directory::run,
-        e12_rmw_methods::run,
-        e13_berkeley_wc::run,
-    ];
-    crate::sweep::sweep(&runners, |_, run| run())
-}
-
-/// Looks up an experiment by id (`e1`…`e10`).
-pub fn by_id(id: &str) -> Option<crate::report::Report> {
-    Some(match id {
-        "e1" => e1_shared_data::run(),
-        "e2" => e2_locking::run(),
-        "e3" => e3_busywait::run(),
-        "e4" => e4_dirty_status::run(),
-        "e5" => e5_invalidation_signal::run(),
-        "e6" => e6_read_for_write::run(),
-        "e7" => e7_source_policy::run(),
-        "e8" => e8_write_no_fetch::run(),
-        "e9" => e9_transfer_units::run(),
-        "e10" => e10_rudolph_segall::run(),
-        "e11" => e11_directory::run(),
-        "e12" => e12_rmw_methods::run(),
-        "e13" => e13_berkeley_wc::run(),
-        _ => return None,
-    })
-}
-
-/// A compact outcome for contention sweeps (E10).
-#[derive(Debug, Clone, Copy)]
-pub struct ContenderOutcome {
-    /// Completed critical sections.
-    pub sections: u64,
-    /// Bus busy cycles per completed section.
-    pub cycles_per_section: f64,
-    /// Unsuccessful lock attempts per acquisition.
-    pub failed_per_acquire: f64,
-}
-
-/// One contention sweep point with one-word blocks (Rudolph-Segall's
-/// requirement; used by E10 so both schemes run the same geometry).
-pub fn measure_point(
-    kind: ProtocolKind,
-    scheme: LockSchemeKind,
-    procs: usize,
-) -> ContenderOutcome {
-    let out = run_cs(kind, procs, scheme, 1, 128, |b| {
-        b.locks(1).payload_blocks(2).payload_reads(1).payload_writes(2).think_cycles(10).iterations(10)
-    });
-    ContenderOutcome {
-        sections: out.sections,
-        cycles_per_section: out.bus_cycles_per_section(),
-        failed_per_acquire: out.failed_attempts_per_acquire(),
+    let builder = CriticalSectionWorkload::builder()
+        .scheme(scheme)
+        .words_per_block(spec.words_per_block());
+    let mut workload = configure(builder).build();
+    let stats = spec.max_cycles(MAX_CYCLES).run(&mut workload, None).stats;
+    CsOutcome {
+        stats,
+        sections: workload.completed_sections(),
+        scheme: *workload.scheme_stats(),
+        mean_acquire: workload.mean_acquire_latency(),
     }
 }
 
-/// Like [`run_cs`] but overriding the directory organization (Feature 3
-/// ablation, E11).
-pub fn run_cs_with_directory(
-    kind: ProtocolKind,
-    procs: usize,
-    scheme: LockSchemeKind,
-    duality: mcs_model::DirectoryDuality,
-    configure: impl Fn(CriticalSectionBuilder) -> CriticalSectionBuilder,
-) -> Stats {
-    let cache = CacheConfig::fully_associative(64, 4).expect("valid cache geometry");
-    let builder = configure(
-        CriticalSectionWorkload::builder().scheme(scheme).words_per_block(4),
-    );
-    let mut workload = builder.build();
-    with_protocol!(kind, p => {
-        let mut sys = System::new(
-            p,
-            SystemConfig::new(procs).with_cache(cache).with_directory(duality).with_engine(engine_mode()),
-        )
-        .expect("valid system");
-        sys.run_workload(&mut workload, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{kind} directory run failed: {e}"))
-    })
+/// Runs the Smith-calibrated random-sharing workload on the system `spec`
+/// describes, under the experiments' cycle ceiling.
+pub fn run_random(spec: RunSpec, cfg: RandomSharingConfig) -> Stats {
+    spec.max_cycles(MAX_CYCLES).run(&mut RandomSharingWorkload::new(cfg), None).stats
+}
+
+/// All experiment reports, in order, for the `exp` binary.
+pub fn all() -> Vec<Report> {
+    // Each experiment is an independent deterministic simulation; fan the
+    // thirteen runners out over threads, reports returned in E1..E13 order.
+    crate::sweep::sweep(&EXPERIMENTS, |_, (_, run)| run())
+}
+
+/// Looks up an experiment by id (`e1`…`e13`) and runs it.
+pub fn by_id(id: &str) -> Option<Report> {
+    EXPERIMENTS.iter().find(|(name, _)| *name == id).map(|(_, run)| run())
 }

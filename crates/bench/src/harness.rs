@@ -1,11 +1,12 @@
 //! Shared run harness: one place that builds a system from a compact spec,
 //! runs a workload on it, and collects every observability output.
 //!
-//! Both the engine benchmark (`bench_engine`) and the observed-run library
-//! ([`crate::obsrun`]) used to hand-roll the same cache-config /
-//! system-config / run / collect sequence; they now both go through
-//! [`RunSpec::run`], so a change to how benchmark systems are constructed
-//! (a new config knob, a different default geometry) lands in one place.
+//! The experiment runners ([`crate::experiments`]), the engine benchmark
+//! (`bench_engine`), the fault matrix and the observed-run library
+//! ([`crate::obsrun`]) all build their systems through [`RunSpec`], so a
+//! change to how systems are constructed (a new config knob, a different
+//! default geometry) lands in one place, and every run's configuration is
+//! visible at its call site.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
@@ -28,8 +29,7 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
 pub struct RunSpec {
     kind: ProtocolKind,
     procs: usize,
-    cache_blocks: usize,
-    words_per_block: usize,
+    cache: CacheConfig,
     engine: EngineMode,
     histograms: bool,
     timeline_window: Option<u64>,
@@ -70,11 +70,12 @@ impl RunSpec {
     /// them), the default engine, no observability, and a generous cycle
     /// ceiling (hitting it means a deadlock).
     pub fn new(kind: ProtocolKind) -> Self {
+        let words_per_block = if kind.requires_word_blocks() { 1 } else { 4 };
         RunSpec {
             kind,
             procs: 4,
-            cache_blocks: 64,
-            words_per_block: if kind.requires_word_blocks() { 1 } else { 4 },
+            cache: CacheConfig::fully_associative(64, words_per_block)
+                .expect("64 fully associative 1- or 4-word blocks is a valid geometry"),
             engine: EngineMode::default(),
             histograms: false,
             timeline_window: None,
@@ -88,6 +89,12 @@ impl RunSpec {
     /// Sets the number of processors.
     pub fn procs(mut self, procs: usize) -> Self {
         self.procs = procs;
+        self
+    }
+
+    /// Replaces the default cache geometry.
+    pub fn cache(mut self, cache: CacheConfig) -> Self {
+        self.cache = cache;
         self
     }
 
@@ -133,14 +140,16 @@ impl RunSpec {
         self
     }
 
-    /// The words-per-block this spec resolved for its protocol.
+    /// The words-per-block of this spec's cache: the protocol's default
+    /// unless [`Self::cache`] replaced the geometry. Workloads that lay out
+    /// data by block read it from here.
     pub fn words_per_block(&self) -> usize {
-        self.words_per_block
+        self.cache.geometry().words_per_block()
     }
 
     /// Builds the system, attaches `sink` if given, runs `workload` and
     /// collects the outputs — **never panicking**: a spec that cannot be
-    /// built (an invalid cache geometry, no processors) or a simulation
+    /// built (no processors) or a simulation
     /// abort (a watchdog trip, an oracle violation, an unrecoverable fault)
     /// lands in [`HarnessRun::error`], with the statistics of the simulated
     /// prefix.
@@ -149,12 +158,8 @@ impl RunSpec {
         workload: &mut W,
         sink: Option<Box<dyn EventSink>>,
     ) -> HarnessRun {
-        let cache = match CacheConfig::fully_associative(self.cache_blocks, self.words_per_block) {
-            Ok(cache) => cache,
-            Err(e) => return self.unbuilt(e.into()),
-        };
         with_protocol!(self.kind, p => {
-            let mut cfg = SystemConfig::new(self.procs).with_cache(cache).with_engine(self.engine);
+            let mut cfg = SystemConfig::new(self.procs).with_cache(self.cache).with_engine(self.engine);
             if self.histograms {
                 cfg = cfg.with_histograms(true);
             }
@@ -227,7 +232,6 @@ impl RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_cache::CacheError;
     use mcs_sync::LockSchemeKind;
     use mcs_workloads::CriticalSectionWorkload;
 
@@ -244,10 +248,29 @@ mod tests {
             .build()
     }
 
+    /// The workload of an E10 cell: one-word blocks, spinning in cache
+    /// under test-and-test-and-set.
+    fn e10_cs() -> CriticalSectionWorkload {
+        CriticalSectionWorkload::builder()
+            .scheme(LockSchemeKind::TestAndTestAndSet)
+            .words_per_block(1)
+            .locks(1)
+            .payload_blocks(2)
+            .payload_reads(1)
+            .payload_writes(2)
+            .think_cycles(10)
+            .iterations(10)
+            .build()
+    }
+
     #[test]
     fn spec_defaults_resolve_block_size_from_protocol() {
         assert_eq!(RunSpec::new(ProtocolKind::BitarDespain).words_per_block(), 4);
         assert_eq!(RunSpec::new(ProtocolKind::RudolphSegall).words_per_block(), 1);
+        let sixteen = CacheConfig::fully_associative(32, 16).unwrap();
+        assert_eq!(RunSpec::new(ProtocolKind::BitarDespain).cache(sixteen).words_per_block(), 16);
+        let one = CacheConfig::fully_associative(128, 1).unwrap();
+        assert_eq!(RunSpec::new(ProtocolKind::BitarDespain).cache(one).words_per_block(), 1);
     }
 
     #[test]
@@ -283,25 +306,26 @@ mod tests {
 
     #[test]
     fn try_run_reports_an_unbuildable_spec_as_an_error() {
-        let spec = RunSpec { words_per_block: 3, ..RunSpec::new(ProtocolKind::BitarDespain) };
-        let run = spec.try_run(&mut tiny_cs(), None);
-        assert_eq!(run.error, Some(SimError::Cache(CacheError::InvalidBlockSize(3))));
-        assert!(!run.completed);
-        assert_eq!(run.stats.cycles, 0, "nothing was simulated");
         let run = RunSpec::new(ProtocolKind::BitarDespain)
             .procs(0)
             .try_run(&mut tiny_cs(), None);
         assert_eq!(run.error, Some(SimError::NoProcessors));
+        assert!(!run.completed);
+        assert_eq!(run.stats.cycles, 0, "nothing was simulated");
     }
 
     #[test]
     fn engine_modes_agree_through_the_harness() {
-        let ev = RunSpec::new(ProtocolKind::BitarDespain)
-            .engine(EngineMode::EventDriven)
-            .run(&mut tiny_cs(), None);
-        let cc = RunSpec::new(ProtocolKind::BitarDespain)
-            .engine(EngineMode::CycleAccurate)
-            .run(&mut tiny_cs(), None);
-        assert_eq!(ev.stats, cc.stats);
+        // The E10 cell runs Rudolph-Segall on 128 one-word blocks.
+        let e10 = RunSpec::new(ProtocolKind::RudolphSegall)
+            .cache(CacheConfig::fully_associative(128, 1).unwrap());
+        let cells: [(RunSpec, fn() -> CriticalSectionWorkload); 2] =
+            [(RunSpec::new(ProtocolKind::BitarDespain), tiny_cs), (e10, e10_cs)];
+        for (spec, workload) in cells {
+            let ev = spec.clone().engine(EngineMode::EventDriven).run(&mut workload(), None);
+            let cc = spec.engine(EngineMode::CycleAccurate).run(&mut workload(), None);
+            assert!(ev.completed);
+            assert_eq!(ev.stats, cc.stats);
+        }
     }
 }

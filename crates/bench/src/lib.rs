@@ -4,7 +4,7 @@
 //! * [`figures`] — executable versions of Figures 1–11: directed scenarios
 //!   on the simulator whose traces and final states are asserted against
 //!   the paper's depictions;
-//! * [`experiments`] — the measured experiments E1–E10 of `DESIGN.md`,
+//! * [`experiments`] — the measured experiments E1–E13 of `DESIGN.md`,
 //!   each regenerating a table of rows/series whose *shape* reproduces a
 //!   claim from the paper (who wins, by roughly what factor, where the
 //!   crossovers fall);

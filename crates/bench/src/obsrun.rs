@@ -104,11 +104,11 @@ impl ObsSpec {
             .with_u64("window_cycles", self.window)
     }
 
-    fn workload(&self) -> CriticalSectionWorkload {
-        let words = if self.kind.requires_word_blocks() { 1 } else { 4 };
+    /// The preset's workload, laid out on `run`'s block size.
+    fn workload(&self, run: &RunSpec) -> CriticalSectionWorkload {
         let b = CriticalSectionWorkload::builder()
             .scheme(self.scheme)
-            .words_per_block(words)
+            .words_per_block(run.words_per_block())
             .locks(1)
             .payload_blocks(1);
         match self.preset {
@@ -156,18 +156,18 @@ pub struct ObservedRun {
 /// panicking.
 pub fn run_observed(spec: &ObsSpec) -> ObservedRun {
     let buf = SharedBuf::new();
-    let mut workload = spec.workload();
     let sink: Option<Box<dyn EventSink>> = spec
         .json_trace
         .then(|| Box::new(JsonlSink::new(buf.clone(), &spec.meta())) as Box<dyn EventSink>);
-    let run = RunSpec::new(spec.kind)
+    let run_spec = RunSpec::new(spec.kind)
         .procs(spec.procs)
         .histograms()
         .timeline(spec.window)
         .max_cycles(MAX_CYCLES)
         .watchdog(WatchdogConfig::default())
-        .bounded_trace(TRACE_RING)
-        .try_run(&mut workload, sink);
+        .bounded_trace(TRACE_RING);
+    let mut workload = spec.workload(&run_spec);
+    let run = run_spec.try_run(&mut workload, sink);
     let jsonl = spec.json_trace.then(|| buf.contents());
     ObservedRun {
         spec: spec.clone(),

@@ -14,23 +14,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Optional global cap on worker threads; `0` means "use all cores".
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Caps the number of worker threads used by subsequent [`sweep`] calls
-/// (`0` restores the all-cores default). `1` forces serial execution —
-/// the engine benchmark uses this to time the pre-parallelism baseline.
-pub fn set_max_threads(n: usize) {
-    MAX_THREADS.store(n, Ordering::Relaxed);
-}
-
 /// Upper bound on worker threads (grid points are CPU-bound simulations;
 /// more threads than cores just adds scheduling noise).
 fn worker_count(points: usize) -> usize {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let cap = MAX_THREADS.load(Ordering::Relaxed);
-    let limit = if cap > 0 { cap.min(cores) } else { cores };
-    limit.min(points).max(1)
+    cores.min(points).max(1)
 }
 
 /// Applies `f` to every point, in parallel, returning results in input
@@ -80,14 +68,6 @@ pub fn sweep<T: Sync, R: Send>(points: &[T], f: impl Fn(usize, &T) -> R + Sync) 
         .collect()
 }
 
-/// Convenience for sweeping owned work items.
-pub fn sweep_into<T: Send + Sync, R: Send>(
-    points: Vec<T>,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    sweep(&points, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,7 +105,6 @@ mod tests {
         let points: Vec<u64> = (1..40).collect();
         let serial: Vec<u64> = points.iter().map(|&p| p * p + 1).collect();
         assert_eq!(sweep(&points, |_, &p| p * p + 1), serial);
-        assert_eq!(sweep_into(points, |_, &p| p * p + 1), serial);
     }
 
     #[test]

@@ -28,48 +28,6 @@ pub trait EventSink: Send {
     fn finish(&mut self) {}
 }
 
-/// Fan-out: one sink that forwards to many.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a downstream sink.
-    pub fn push(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of downstream sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the fan-out has no downstream sinks.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn record(&mut self, cycle: u64, event: &Event) {
-        for s in &mut self.sinks {
-            s.record(cycle, event);
-        }
-    }
-
-    fn finish(&mut self) {
-        for s in &mut self.sinks {
-            s.finish();
-        }
-    }
-}
-
 /// A sink that only counts, for overhead measurement and tests.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingSink {
@@ -466,25 +424,5 @@ mod tests {
         assert!(lines[0].contains("\"protocol\":\"bitar-despain\""));
         assert_eq!(validate_line(lines[1]).unwrap().cycle, Some(5));
         assert_eq!(validate_line(lines[2]).unwrap().cycle, Some(9));
-    }
-
-    #[test]
-    fn fanout_forwards_to_all() {
-        // CountingSink is Copy, so hold shared buffers instead.
-        struct Probe(Arc<Mutex<u64>>);
-        impl EventSink for Probe {
-            fn record(&mut self, _cycle: u64, _event: &Event) {
-                *self.0.lock().unwrap() += 1;
-            }
-        }
-        let (a, b) = (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)));
-        let mut fan = FanoutSink::new();
-        fan.push(Box::new(Probe(a.clone())));
-        fan.push(Box::new(Probe(b.clone())));
-        assert_eq!(fan.len(), 2);
-        fan.record(1, &Event::Note("x".into()));
-        fan.record(2, &Event::Note("y".into()));
-        assert_eq!(*a.lock().unwrap(), 2);
-        assert_eq!(*b.lock().unwrap(), 2);
     }
 }
