@@ -8,14 +8,15 @@
 //! behaviour change and must be justified, then re-recorded here.
 //!
 //! The grid covers every protocol on three workload families at 4
-//! processors, the paper's cache-state lock at 64 and 130 processors (130
-//! spans three 64-bit processor-set words), a test-and-set lock at 64
-//! processors, work-while-waiting, and busy-wait timeout recovery. A few
-//! cells pin more than `Stats`: the per-cache directory counters of the
-//! 64-processor lock run, the fault counters of a dropped-snoop run, and
-//! the data and line states an I/O script leaves behind. Together with
-//! Rudolph-Segall's revalidation of invalid copies at 16 processors, these
-//! are the cases where an invalid frame's snoop can be observed.
+//! processors, the paper's cache-state lock and a test-and-set lock at 64
+//! and 130 processors (130 spans three 64-bit words of every per-processor
+//! bitset), work-while-waiting, and busy-wait timeout recovery. A few
+//! cells pin more than `Stats`: the per-cache directory counters of the 64-
+//! and 130-processor lock runs, the fault counters of dropped-snoop runs at
+//! 16 and 130 processors, and the data and line states an I/O script
+//! leaves behind. Together with Rudolph-Segall's revalidation of invalid
+//! copies at 16 and 130 processors, these are the cases where an invalid
+//! frame's snoop can be observed.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
@@ -64,11 +65,15 @@ const GOLDEN: &[(&str, u64)] = &[
     ("bitar-despain/cache-lock/64", 0x86ef527b3e8ee95b),
     ("bitar-despain/cache-lock/130", 0x75e30ffca6cb7ab5),
     ("illinois/tas/64", 0x3e88161c78a0501e),
+    ("illinois/tas/130", 0xf97f3fb4106fa339),
     ("bitar-despain/ready-sections/4", 0x2f19ff9bc16953a6),
     ("bitar-despain/lost-unlock-timeouts/8", 0xa0573341195212a8),
     ("rudolph-segall/rs/16", 0xaec498350168abdc),
+    ("rudolph-segall/rs/130", 0xdb2f936235f20c8d),
     ("bitar-despain/cache-lock/64/directories", 0x5e9dfb5d5827e341),
+    ("bitar-despain/cache-lock/130/directories", 0x2e66805620e7ca85),
     ("bitar-despain/cache-lock/16/dropped-snoops", 0x2346a368a175ca63),
+    ("bitar-despain/cache-lock/130/dropped-snoops", 0xea7165081c7bb388),
     ("io-script/4", 0x662c5850615304da),
 ];
 
@@ -223,18 +228,20 @@ fn grid() -> Vec<(String, String)> {
         cells.push((format!("{id}/pc/4"), stats_text(run(kind, 4, |c| c, pc))));
     }
     let bd = ProtocolKind::BitarDespain;
-    let mut directories = String::new();
+    let mut directories = Vec::new();
     for procs in [64, 130] {
         let w = lock_workload(LockSchemeKind::CacheLock, 4, 2);
         let out = run(bd, procs, |c| c, w);
-        if procs == 64 {
-            directories = format!("{:?}", out.directories);
-        }
+        directories.push((procs, format!("{:?}", out.directories)));
         cells.push((format!("bitar-despain/cache-lock/{procs}"), stats_text(out)));
     }
+    // Test-and-set leaves many invalid copies of the lock block behind
+    // every write; at 130 processors they span three mask words.
     let tas = ProtocolKind::Illinois;
-    let w = lock_workload(LockSchemeKind::TestAndSet, 4, 2);
-    cells.push(("illinois/tas/64".to_string(), stats_text(run(tas, 64, |c| c, w))));
+    for procs in [64, 130] {
+        let w = lock_workload(LockSchemeKind::TestAndSet, 4, 2);
+        cells.push((format!("illinois/tas/{procs}"), stats_text(run(tas, procs, |c| c, w))));
+    }
     let ready = CriticalSectionWorkload::builder()
         .scheme(LockSchemeKind::CacheLock)
         .words_per_block(4)
@@ -270,18 +277,34 @@ fn grid() -> Vec<(String, String)> {
         "rudolph-segall/rs/16".to_string(),
         stats_text(run(ProtocolKind::RudolphSegall, 16, |c| c, rs)),
     ));
-    cells.push(("bitar-despain/cache-lock/64/directories".to_string(), directories));
+    let rs = RandomSharingWorkload::new(RandomSharingConfig {
+        refs_per_proc: 60,
+        seed: 0x5A1E,
+        ..Default::default()
+    });
+    cells.push((
+        "rudolph-segall/rs/130".to_string(),
+        stats_text(run(ProtocolKind::RudolphSegall, 130, |c| c, rs)),
+    ));
+    for (procs, text) in directories {
+        cells.push((format!("bitar-despain/cache-lock/{procs}/directories"), text));
+    }
     // Every resident frame a dropped-snoop plan visits draws from the
     // fault stream, invalid copies included. Digests Stats and FaultStats.
-    let w = lock_workload(LockSchemeKind::CacheLock, 4, 2);
-    let plan = FaultPlan::new(0xD809).drop_snoop(DROP_PERMILLE);
-    let out = run(bd, 16, |c| c.with_faults(plan), w);
-    let faults = out.faults.clone().expect("fault layer on");
-    assert!(faults.dropped_snoops > 0, "the plan must drop snoops");
-    cells.push((
-        "bitar-despain/cache-lock/16/dropped-snoops".to_string(),
-        format!("{:?} {faults:?}", out.stats),
-    ));
+    // At 130 processors a dropped reply from the lock holder lets a second
+    // cache take the lock, which the oracle would stop, so the oracle is
+    // off there: that cell pins where the draws fall, not exclusion.
+    for procs in [16, 130] {
+        let w = lock_workload(LockSchemeKind::CacheLock, 4, 2);
+        let plan = FaultPlan::new(0xD809).drop_snoop(DROP_PERMILLE);
+        let out = run(bd, procs, |c| c.with_faults(plan).with_oracle(procs == 16), w);
+        let faults = out.faults.clone().expect("fault layer on");
+        assert!(faults.dropped_snoops > 0, "the plan must drop snoops");
+        cells.push((
+            format!("bitar-despain/cache-lock/{procs}/dropped-snoops"),
+            format!("{:?} {faults:?}", out.stats),
+        ));
+    }
     cells.push(("io-script/4".to_string(), io_script()));
     cells
 }
