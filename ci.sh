@@ -23,6 +23,10 @@ cargo build --release --offline -p mcs-bench
 # transaction runs the write oracle, the snoop-filter exactness sweep, and
 # the replacement flag-mirror consistency check.
 cargo test -q --offline --workspace
+# The same golden digests and engine-mode equivalence with debug-checks
+# compiled out: the configuration simbench and bench_engine ship. Code on
+# both sides of `cfg!(feature = "debug-checks")` must give the same runs.
+cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # No process-global modes: a mutable static (an atomic, lock, once-cell

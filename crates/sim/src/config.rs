@@ -36,7 +36,6 @@ pub struct SystemConfig {
     engine: EngineMode,
     histograms: bool,
     timeline_window: Option<u64>,
-    snoop_filter: bool,
     faults: Option<FaultPlan>,
     watchdog: Option<WatchdogConfig>,
 }
@@ -57,7 +56,6 @@ impl SystemConfig {
             engine: EngineMode::default(),
             histograms: false,
             timeline_window: None,
-            snoop_filter: true,
             faults: None,
             watchdog: None,
         }
@@ -127,14 +125,6 @@ impl SystemConfig {
     /// cycles (clamped to ≥ 1). Off by default.
     pub fn with_timeline(mut self, window_cycles: u64) -> Self {
         self.timeline_window = Some(window_cycles.max(1));
-        self
-    }
-
-    /// Enables or disables the holder-bitmask snoop filter (on by default).
-    /// Disabling it restores full-broadcast probing of every cache; output
-    /// must be identical either way (pinned by the equivalence suite).
-    pub fn with_snoop_filter(mut self, enabled: bool) -> Self {
-        self.snoop_filter = enabled;
         self
     }
 
@@ -209,11 +199,6 @@ impl SystemConfig {
         self.timeline_window
     }
 
-    /// Whether the holder-bitmask snoop filter is enabled.
-    pub fn snoop_filter(&self) -> bool {
-        self.snoop_filter
-    }
-
     /// The fault-injection plan, or `None` when the layer is off.
     pub fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
@@ -251,8 +236,6 @@ mod tests {
         assert!(c.directory().is_none());
         assert_eq!(c.cache().capacity_blocks(), 64);
         assert_eq!(c.engine(), EngineMode::EventDriven);
-        assert!(c.snoop_filter());
-        assert!(!c.with_snoop_filter(false).snoop_filter());
     }
 
     #[test]

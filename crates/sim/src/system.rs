@@ -46,12 +46,12 @@
 //! # Snoop filter
 //!
 //! Broadcasts need only visit caches whose snoop can do something. The
-//! engine keeps two per-block bitmasks in [`MainMemory`] for systems of up
-//! to 64 processors. The **holder mask** has bit `i` set iff cache `i` has
-//! a frame for the block (valid *or invalid copy*); it changes only at
-//! frame allocation and eviction. The **stale mask** marks the frames that
-//! are invalid copies; every line-state write goes through
-//! `set_line_state`, which keeps it exact, and eviction clears it.
+//! engine keeps two per-block bitmasks in [`MainMemory`], as wide as the
+//! machine, one 64-bit word per 64 caches. The **holder mask** has bit `i`
+//! set iff cache `i` has a frame for the block (valid *or invalid copy*);
+//! it changes only at frame allocation and eviction. The **stale mask**
+//! marks the frames that are invalid copies; every line-state write goes
+//! through `set_line_state`, which keeps it exact, and eviction clears it.
 //!
 //! Snooping follows validity: the snoop loop visits `holders & !stale`,
 //! because an invalid copy snoops as a no-op (the [`Protocol::snoop`]
@@ -62,16 +62,19 @@
 //! drops snoop replies, which draws for every frame it visits. Snooper
 //! data updates visit the valid copies or the resident ones as their
 //! target asks, and the source-loss check on eviction is one mask test.
-//! All of these walk set bits in ascending order, so ordering-sensitive
-//! effects are untouched. The watch set of armed or woken busy-wait
-//! registers filters unlock and relock broadcasts the same way, at any
-//! processor count.
+//! All of these walk the masks a word at a time and each word's set bits
+//! in ascending order, so they visit caches in ascending order, as a scan
+//! of every cache would, and ordering-sensitive effects (fault draws,
+//! snoop order) are untouched. The watch set of armed or woken busy-wait
+//! registers filters unlock and relock broadcasts the same way. There is
+//! one snoop path at every processor count.
 //!
-//! Filtered and full scans are observationally identical. The equivalence
-//! suite pins this with the filter force-disabled, which visits every
-//! cache. Under the `debug-checks` feature every transaction also asserts
-//! that both masks are exact and re-runs the snoop of each stale frame it
-//! skipped to check that the protocol ignores it.
+//! Skipping a cache is observationally identical to snooping it. Under the
+//! `debug-checks` feature every transaction asserts that both masks are
+//! exact for its block (holders equal residency, stale equals the invalid
+//! copies) and re-runs the snoop of each stale frame it skipped to check
+//! that the protocol ignores it; the golden digests pin the same runs
+//! across commits.
 
 use crate::config::{EngineMode, SystemConfig};
 use crate::error::{OracleViolation, SimError};
@@ -213,40 +216,42 @@ struct Grant {
     issued_at: u64,
 }
 
-/// Iterator over the set bits of a bitmask, ascending.
-struct Bits(u64);
+/// Iterator over the cache indices set in word `w` of a per-cache mask,
+/// ascending.
+struct Bits {
+    bits: u64,
+    base: usize,
+}
+
+impl Bits {
+    #[inline]
+    fn word(w: usize, bits: u64) -> Self {
+        Bits { bits, base: w * 64 }
+    }
+}
 
 impl Iterator for Bits {
     type Item = usize;
 
     #[inline]
     fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
+        if self.bits == 0 {
             return None;
         }
-        let i = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(i)
+        let i = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + i)
     }
 }
 
-/// Cache indices a broadcast must visit: the holder mask's set bits when
-/// the filter applies, every cache otherwise. Both iterate ascending so
-/// filtered and full scans hit matching caches in the same order.
-enum Targets {
-    Mask(Bits),
-    All(std::ops::Range<usize>),
-}
-
-impl Iterator for Targets {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            Targets::Mask(bits) => bits.next(),
-            Targets::All(range) => range.next(),
-        }
+/// Cache `i`'s bit in word `w` of a per-cache mask (zero when `i` lies in
+/// another word).
+#[inline]
+fn bit_in_word(i: usize, w: usize) -> u64 {
+    if i / 64 == w {
+        1 << (i % 64)
+    } else {
+        0
     }
 }
 
@@ -348,18 +353,9 @@ pub struct System<P: Protocol> {
     /// Cached [`Trace::is_enabled`]`|| !sinks.is_empty()` for the
     /// state-change render gate.
     sink_or_trace: bool,
-    /// Holder bitmasks are maintained (`processors <= 64`); independent of
-    /// whether lookups actually use them, so exactness holds either way.
-    track_holders: bool,
-    /// Broadcast scans consult the holder and stale bitmasks (config on
-    /// and maintainable).
-    snoop_filter: bool,
     /// The fault plan drops snoop replies, so every resident frame must be
     /// visited: each visit draws from the fault stream.
     drops_snoops: bool,
-    /// Unlock/relock broadcasts visit only the watch set (config on; valid
-    /// at any processor count).
-    watch_filter: bool,
     /// Scratch buffer receiving evicted block data; reused across every
     /// eviction so the steady-state miss path allocates nothing.
     evict_buf: Vec<Word>,
@@ -397,7 +393,6 @@ impl<P: Protocol> System<P> {
         let duality = config.directory().unwrap_or(protocol.features().directory);
         let check_dual_sources =
             protocol.features().source_policy != SourcePolicy::Arbitrate;
-        let track_holders = n <= 64;
         let mut sys = System {
             geometry,
             timing: *config.timing(),
@@ -405,7 +400,7 @@ impl<P: Protocol> System<P> {
             caches: (0..n).map(|_| Cache::new(*config.cache())).collect(),
             registers: vec![BusyWaitRegister::new(); n],
             directories: (0..n).map(|_| DirectoryModel::new(duality)).collect(),
-            memory: MainMemory::new(geometry),
+            memory: MainMemory::new(geometry, n),
             // Without `debug-checks` the oracles are compiled-out cost:
             // never constructed, even when the config asks for them.
             oracle: if cfg!(feature = "debug-checks") {
@@ -433,10 +428,7 @@ impl<P: Protocol> System<P> {
             rr: 0,
             obs_enabled: false,
             sink_or_trace: false,
-            track_holders,
-            snoop_filter: config.snoop_filter() && track_holders,
             drops_snoops: config.faults().is_some_and(|p| p.drops_snoops()),
-            watch_filter: config.snoop_filter(),
             evict_buf: Vec::with_capacity(geometry.words_per_block()),
             by_op_pending: [0; BUS_OP_SLOTS],
             faults: config.faults().cloned().map(FaultState::new),
@@ -817,64 +809,41 @@ impl<P: Protocol> System<P> {
         self.sched.sets.remove(Set::Woken, i);
     }
 
-    /// The next busy-wait register at or after `from` that an unlock or
-    /// relock broadcast must visit: the next watching one when the filter
-    /// is on, the next one otherwise.
+    /// Word `w` of the caches the snoop phase of an `op` broadcast on
+    /// `block` must visit, and of the stale frames it skips. `others` is
+    /// word `w` of the block's holder mask without the requester. The
+    /// targets are the valid copies in `others`: an invalid copy ignores
+    /// every snoop but a `WriteWord { AllCopies }`, and that one (like a
+    /// plan that drops snoops, which draws for every frame it visits) walks
+    /// all of `others`.
     #[inline]
-    fn next_watcher(&self, from: usize) -> Option<usize> {
-        if self.watch_filter {
-            self.sched.sets.next(Set::Watch, from)
-        } else {
-            (from < self.registers.len()).then_some(from)
-        }
-    }
-
-    /// Caches the snoop phase of an `op` broadcast on `block` must visit,
-    /// and the stale frames it skips. `others` is the block's holder mask
-    /// without the requester. With the filter on that is the valid copies
-    /// in `others`: an invalid copy ignores every snoop but a
-    /// `WriteWord { AllCopies }`, and that one (like a plan that drops
-    /// snoops, which draws for every frame it visits) walks all of
-    /// `others`. With the filter off, every cache.
-    #[inline]
-    fn snoop_targets(&self, block: BlockAddr, op: BusOp, others: u64) -> (Targets, u64) {
-        if !self.snoop_filter {
-            return (Targets::All(0..self.caches.len()), 0);
-        }
+    fn snoop_targets(&self, block: BlockAddr, op: BusOp, w: usize, others: u64) -> (u64, u64) {
         if others == 0
             || self.drops_snoops
             || op == (BusOp::WriteWord { target: UpdateTarget::AllCopies })
         {
-            return (Targets::Mask(Bits(others)), 0);
+            return (others, 0);
         }
-        let valid = self.memory.valid_mask(block) & others;
-        (Targets::Mask(Bits(valid)), others & !valid)
+        let valid = self.memory.valid_word(block, w) & others;
+        (valid, others & !valid)
     }
 
-    /// Caches holding a copy of `block` that a snooper data update must
-    /// visit. With the filter on: the valid copies when `valid_only`, every
-    /// resident frame otherwise. With the filter off: every cache.
+    /// Under `debug-checks`, asserts that each stale frame in word `w`'s
+    /// `skipped` ignores `txn`, as the [`Protocol::snoop`] contract
+    /// promises, so the snoops the filter left out could not have changed
+    /// anything.
     #[inline]
-    fn copies(&self, block: BlockAddr, valid_only: bool) -> Targets {
-        if !self.snoop_filter {
-            return Targets::All(0..self.caches.len());
-        }
-        Targets::Mask(Bits(if valid_only {
-            self.memory.valid_mask(block)
-        } else {
-            self.memory.holders_mask(block)
-        }))
-    }
-
-    /// Under `debug-checks`, asserts that each stale frame in `skipped`
-    /// ignores `txn`, as the [`Protocol::snoop`] contract promises, so the
-    /// snoops the filter left out could not have changed anything.
-    #[inline]
-    fn assert_skipped_snoops_ignored(&self, block: BlockAddr, txn: &BusTxn, skipped: u64) {
+    fn assert_skipped_snoops_ignored(
+        &self,
+        block: BlockAddr,
+        txn: &BusTxn,
+        w: usize,
+        skipped: u64,
+    ) {
         if !cfg!(feature = "debug-checks") {
             return;
         }
-        for j in Bits(skipped) {
+        for j in Bits::word(w, skipped) {
             let state = self.caches[j].state_of(block);
             assert_eq!(
                 self.protocol.snoop(state, txn),
@@ -900,12 +869,10 @@ impl<P: Protocol> System<P> {
         was_resident: bool,
         next: P::State,
     ) {
-        if self.track_holders {
-            let was_stale = was_resident && !before.descriptor().is_valid();
-            let stale = !next.descriptor().is_valid();
-            if stale != was_stale {
-                self.memory.set_stale(block, j, stale);
-            }
+        let was_stale = was_resident && !before.descriptor().is_valid();
+        let stale = !next.descriptor().is_valid();
+        if stale != was_stale {
+            self.memory.set_stale(block, j, stale);
         }
         if before != next {
             self.caches[j].set_state(block, next);
@@ -916,9 +883,6 @@ impl<P: Protocol> System<P> {
     /// evicting `evicted`, in the holder and stale masks.
     #[inline]
     fn note_frame(&mut self, req: usize, block: BlockAddr, evicted: Option<&EvictedLine<P::State>>) {
-        if !self.track_holders {
-            return;
-        }
         self.memory.add_holder(block, req);
         if let Some(ev) = evicted {
             self.memory.remove_holder(ev.tag, req);
@@ -1545,71 +1509,68 @@ impl<P: Protocol> System<P> {
         let mut summary = SnoopSummary::default();
         let mut supplier: Option<usize> = None;
         let mut snoop_flush_count = 0u32;
-        let (req_resident, others) = if self.track_holders {
-            let resident = self.memory.holders_mask(block);
-            (resident & (1u64 << req) != 0, resident & !(1u64 << req))
-        } else {
-            (false, 0)
-        };
-        let (targets, skipped) = self.snoop_targets(block, bus_op, others);
-        self.assert_skipped_snoops_ignored(block, &txn, skipped);
-        // A skipped snooper's directory still looked the block up.
-        for j in Bits(skipped) {
-            self.directories[j].bus_access();
-        }
-        for j in targets {
-            if j == req {
-                continue;
+        let mut req_resident = false;
+        for w in 0..self.memory.mask_words() {
+            let resident = self.memory.holders_word(block, w);
+            let req_bit = bit_in_word(req, w);
+            req_resident |= resident & req_bit != 0;
+            let (targets, skipped) = self.snoop_targets(block, bus_op, w, resident & !req_bit);
+            self.assert_skipped_snoops_ignored(block, &txn, w, skipped);
+            // A skipped snooper's directory still looked the block up.
+            for j in Bits::word(w, skipped) {
+                self.directories[j].bus_access();
             }
-            let Some(before) = self.caches[j].state_if_resident(block) else { continue };
-            // Fault choke point: this snooper's reply is dropped — it
-            // neither updates its state nor drives the aggregated snoop
-            // lines for this transaction.
-            if let Some(f) = &mut self.faults {
-                if f.roll_dropped_snoop() {
-                    self.emit(self.now, || Event::FaultInjected {
-                        kind: "dropped-snoop",
-                        cache: CacheId(j),
-                        block,
-                    });
-                    continue;
+            for j in Bits::word(w, targets) {
+                let Some(before) = self.caches[j].state_if_resident(block) else { continue };
+                // Fault choke point: this snooper's reply is dropped — it
+                // neither updates its state nor drives the aggregated snoop
+                // lines for this transaction.
+                if let Some(f) = &mut self.faults {
+                    if f.roll_dropped_snoop() {
+                        self.emit(self.now, || Event::FaultInjected {
+                            kind: "dropped-snoop",
+                            cache: CacheId(j),
+                            block,
+                        });
+                        continue;
+                    }
                 }
-            }
-            let outcome = self.protocol.snoop(before, &txn);
-            let bd = before.descriptor();
-            self.set_line_state(j, block, before, true, outcome.next);
-            let flushed = outcome.reply.flushes;
-            if flushed {
-                let Some(data) = self.caches[j].data_of(block) else {
-                    return Err(SimError::EngineInvariant {
-                        context: "snoop flush from a cache with no data for the line",
-                        cycle: self.now,
-                        cache: CacheId(j),
-                        block,
-                    });
-                };
-                self.memory.write_block(block, data);
-                self.caches[j].clear_unit_dirty(block);
-            }
-            self.directories[j].bus_access();
-            summary.absorb(&outcome.reply);
-            if outcome.reply.supplies_data {
-                supplier = Some(j);
-            }
-            if flushed {
-                self.stats.sources.flushes += 1;
-                snoop_flush_count += 1;
-                self.emit(self.now, || Event::Flush { cache: CacheId(j), block });
-            }
-            let ad = outcome.next.descriptor();
-            if bd.is_valid() && !ad.is_valid() {
-                self.stats.bus.invalidations += 1;
-            }
-            if !bd.waiter && ad.waiter {
-                self.directories[j].waiter_status_update();
-            }
-            if before != outcome.next {
-                self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                let outcome = self.protocol.snoop(before, &txn);
+                let bd = before.descriptor();
+                self.set_line_state(j, block, before, true, outcome.next);
+                let flushed = outcome.reply.flushes;
+                if flushed {
+                    let Some(data) = self.caches[j].data_of(block) else {
+                        return Err(SimError::EngineInvariant {
+                            context: "snoop flush from a cache with no data for the line",
+                            cycle: self.now,
+                            cache: CacheId(j),
+                            block,
+                        });
+                    };
+                    self.memory.write_block(block, data);
+                    self.caches[j].clear_unit_dirty(block);
+                }
+                self.directories[j].bus_access();
+                summary.absorb(&outcome.reply);
+                if outcome.reply.supplies_data {
+                    supplier = Some(j);
+                }
+                if flushed {
+                    self.stats.sources.flushes += 1;
+                    snoop_flush_count += 1;
+                    self.emit(self.now, || Event::Flush { cache: CacheId(j), block });
+                }
+                let ad = outcome.next.descriptor();
+                if bd.is_valid() && !ad.is_valid() {
+                    self.stats.bus.invalidations += 1;
+                }
+                if !bd.waiter && ad.waiter {
+                    self.directories[j].waiter_status_update();
+                }
+                if before != outcome.next {
+                    self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                }
             }
         }
 
@@ -1619,36 +1580,34 @@ impl<P: Protocol> System<P> {
             BusOp::Fetch { privilege: Privilege::Lock, .. } => {
                 // A woken register that lost the race sleeps again; its
                 // busy-wait timeout (if any) is scheduled again.
-                let mut next = self.next_watcher(0);
+                let mut next = self.sched.sets.next(Set::Watch, 0);
                 while let Some(j) = next {
                     if j != req && self.registers[j].observe_relock(block) {
                         self.sched.sets.remove(Set::Woken, j);
                         self.schedule(j);
                     }
-                    next = self.next_watcher(j + 1);
+                    next = self.sched.sets.next(Set::Watch, j + 1);
                 }
             }
             _ => {}
         }
 
         // --- Engine-level data updates in snoopers (write-through/update) ---
-        // `write_word` skips a cache with no frame for the block, so only
-        // validity needs checking, and only when the filter is off.
+        // The valid copies, or every resident frame, as the target asks.
         if let BusOp::WriteWord { target: target @ (UpdateTarget::ValidCopies | UpdateTarget::AllCopies) } =
             bus_op.normalize_update()
         {
             let value = op.value.unwrap_or(Word(0));
-            let valid_only = target == UpdateTarget::ValidCopies;
-            for j in self.copies(block, valid_only) {
-                if j == req
-                    || (valid_only
-                        && !self.snoop_filter
-                        && !self.caches[j].state_of(block).descriptor().is_valid())
-                {
-                    continue;
-                }
-                if self.caches[j].write_word(op.addr, value) {
-                    self.stats.bus.updates += 1;
+            for w in 0..self.memory.mask_words() {
+                let copies = if target == UpdateTarget::ValidCopies {
+                    self.memory.valid_word(block, w)
+                } else {
+                    self.memory.holders_word(block, w)
+                };
+                for j in Bits::word(w, copies & !bit_in_word(req, w)) {
+                    if self.caches[j].write_word(op.addr, value) {
+                        self.stats.bus.updates += 1;
+                    }
                 }
             }
         }
@@ -2006,9 +1965,9 @@ impl<P: Protocol> System<P> {
             && matches!(bus_op, BusOp::Fetch { privilege: Privilege::Lock, .. })
             && !after_d.is_locked()
         {
-            let any_armed =
-                std::iter::successors(self.next_watcher(0), |&j| self.next_watcher(j + 1))
-                    .any(|j| j != req && self.registers[j].watching() == Some(block));
+            let watch = |from| self.sched.sets.next(Set::Watch, from);
+            let any_armed = std::iter::successors(watch(0), |&j| watch(j + 1))
+                .any(|j| j != req && self.registers[j].watching() == Some(block));
             if any_armed {
                 self.stats.bus.unlock_broadcasts += 1;
                 duration += self.timing.signal_txn();
@@ -2038,7 +1997,7 @@ impl<P: Protocol> System<P> {
                 return;
             }
         }
-        let mut next = self.next_watcher(0);
+        let mut next = self.sched.sets.next(Set::Watch, 0);
         while let Some(j) = next {
             if j != req && self.registers[j].observe_unlock(block) {
                 self.sched.clocks[j].woken_at = self.now;
@@ -2047,7 +2006,7 @@ impl<P: Protocol> System<P> {
                 self.schedule(j);
                 self.emit(self.now, || Event::WaiterWoken { cache: CacheId(j), block });
             }
-            next = self.next_watcher(j + 1);
+            next = self.sched.sets.next(Set::Watch, j + 1);
         }
     }
 
@@ -2063,17 +2022,8 @@ impl<P: Protocol> System<P> {
         let d = ev.state.descriptor();
         // Feature 8: purging a source line while the block lives elsewhere
         // loses the source. The evicted frame has already left the masks.
-        if d.source {
-            let valid_elsewhere = if self.snoop_filter {
-                self.memory.valid_mask(ev.tag) != 0
-            } else {
-                (0..self.caches.len()).any(|j| {
-                    j != req && self.caches[j].state_of(ev.tag).descriptor().is_valid()
-                })
-            };
-            if valid_elsewhere {
-                self.stats.sources.source_losses += 1;
-            }
+        if d.source && self.memory.has_valid_copy(ev.tag) {
+            self.stats.sources.source_losses += 1;
         }
         // The minor modification of Section E.3: purging a locked block
         // writes its lock bit to memory; the holder keeps the lock, other
@@ -2113,19 +2063,22 @@ impl<P: Protocol> System<P> {
         self.stats.bus.txns += 1;
         *self.stats.bus.by_op.entry(BusOp::IoInput.mnemonic()).or_default() += 1;
         let mut summary = SnoopSummary::default();
-        let (targets, skipped) = self.snoop_targets(block, txn.op, self.memory.holders_mask(block));
-        self.assert_skipped_snoops_ignored(block, &txn, skipped);
-        for j in targets {
-            let Some(before) = self.caches[j].state_if_resident(block) else { continue };
-            let outcome = self.protocol.snoop(before, &txn);
-            let bd = before.descriptor();
-            self.set_line_state(j, block, before, true, outcome.next);
-            summary.absorb(&outcome.reply);
-            if bd.is_valid() && !outcome.next.descriptor().is_valid() {
-                self.stats.bus.invalidations += 1;
-            }
-            if before != outcome.next {
-                self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+        for w in 0..self.memory.mask_words() {
+            let resident = self.memory.holders_word(block, w);
+            let (targets, skipped) = self.snoop_targets(block, txn.op, w, resident);
+            self.assert_skipped_snoops_ignored(block, &txn, w, skipped);
+            for j in Bits::word(w, targets) {
+                let Some(before) = self.caches[j].state_if_resident(block) else { continue };
+                let outcome = self.protocol.snoop(before, &txn);
+                let bd = before.descriptor();
+                self.set_line_state(j, block, before, true, outcome.next);
+                summary.absorb(&outcome.reply);
+                if bd.is_valid() && !outcome.next.descriptor().is_valid() {
+                    self.stats.bus.invalidations += 1;
+                }
+                if before != outcome.next {
+                    self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                }
             }
         }
         self.memory.write_block(block, data);
@@ -2155,35 +2108,38 @@ impl<P: Protocol> System<P> {
         *self.stats.bus.by_op.entry(op.mnemonic()).or_default() += 1;
         let mut summary = SnoopSummary::default();
         let mut supplier: Option<usize> = None;
-        let (targets, skipped) = self.snoop_targets(block, op, self.memory.holders_mask(block));
-        self.assert_skipped_snoops_ignored(block, &txn, skipped);
-        for j in targets {
-            let Some(before) = self.caches[j].state_if_resident(block) else { continue };
-            let outcome = self.protocol.snoop(before, &txn);
-            let bd = before.descriptor();
-            self.set_line_state(j, block, before, true, outcome.next);
-            if outcome.reply.flushes {
-                let Some(data) = self.caches[j].data_of(block) else {
-                    return Err(SimError::EngineInvariant {
-                        context: "I/O snoop flush from a cache with no data for the line",
-                        cycle: self.now,
-                        cache: CacheId(j),
-                        block,
-                    });
-                };
-                self.memory.write_block(block, data);
-                self.caches[j].clear_unit_dirty(block);
-                self.stats.sources.flushes += 1;
-            }
-            summary.absorb(&outcome.reply);
-            if outcome.reply.supplies_data {
-                supplier = Some(j);
-            }
-            if bd.is_valid() && !outcome.next.descriptor().is_valid() {
-                self.stats.bus.invalidations += 1;
-            }
-            if before != outcome.next {
-                self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+        for w in 0..self.memory.mask_words() {
+            let resident = self.memory.holders_word(block, w);
+            let (targets, skipped) = self.snoop_targets(block, op, w, resident);
+            self.assert_skipped_snoops_ignored(block, &txn, w, skipped);
+            for j in Bits::word(w, targets) {
+                let Some(before) = self.caches[j].state_if_resident(block) else { continue };
+                let outcome = self.protocol.snoop(before, &txn);
+                let bd = before.descriptor();
+                self.set_line_state(j, block, before, true, outcome.next);
+                if outcome.reply.flushes {
+                    let Some(data) = self.caches[j].data_of(block) else {
+                        return Err(SimError::EngineInvariant {
+                            context: "I/O snoop flush from a cache with no data for the line",
+                            cycle: self.now,
+                            cache: CacheId(j),
+                            block,
+                        });
+                    };
+                    self.memory.write_block(block, data);
+                    self.caches[j].clear_unit_dirty(block);
+                    self.stats.sources.flushes += 1;
+                }
+                summary.absorb(&outcome.reply);
+                if outcome.reply.supplies_data {
+                    supplier = Some(j);
+                }
+                if bd.is_valid() && !outcome.next.descriptor().is_valid() {
+                    self.stats.bus.invalidations += 1;
+                }
+                if before != outcome.next {
+                    self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                }
             }
         }
         let data = match supplier {
@@ -2276,85 +2232,51 @@ impl<P: Protocol> System<P> {
     }
 
     /// Asserts the holder bitmask for `block` exactly matches residency,
-    /// and the stale bitmask exactly the resident invalid copies. Runs
-    /// after every bus transaction when the `debug-checks` feature is on.
-    #[cfg(feature = "debug-checks")]
+    /// and the stale bitmask exactly the resident invalid copies, word by
+    /// word. Runs after every bus transaction when the `debug-checks`
+    /// feature is on.
     fn assert_snoop_filter_exact_for(&self, block: BlockAddr) {
-        if !self.track_holders {
-            return;
-        }
-        let mask = self.memory.holders_mask(block);
-        let stale = self.memory.stale_mask(block);
-        let mut resident = 0u64;
-        let mut invalid = 0u64;
+        // Per mask word: (resident frames, invalid frames).
+        let mut frames = vec![(0u64, 0u64); self.memory.mask_words()];
         for (j, cache) in self.caches.iter().enumerate() {
             if let Some(state) = cache.state_if_resident(block) {
-                resident |= 1 << j;
+                let (resident, invalid) = &mut frames[j / 64];
+                *resident |= 1 << (j % 64);
                 if !state.descriptor().is_valid() {
-                    invalid |= 1 << j;
+                    *invalid |= 1 << (j % 64);
                 }
             }
         }
-        assert_eq!(
-            mask, resident,
-            "holder mask for {block} diverged from residency (mask {mask:#b}, resident {resident:#b})"
-        );
-        assert_eq!(
-            stale, invalid,
-            "stale mask for {block} diverged from the invalid copies (mask {stale:#b}, invalid {invalid:#b})"
-        );
+        for (w, (resident, invalid)) in frames.into_iter().enumerate() {
+            let mask = self.memory.holders_word(block, w);
+            let stale = self.memory.stale_word(block, w);
+            assert_eq!(
+                mask, resident,
+                "holder mask word {w} for {block} diverged from residency (mask {mask:#b}, resident {resident:#b})"
+            );
+            assert_eq!(
+                stale, invalid,
+                "stale mask word {w} for {block} diverged from the invalid copies (mask {stale:#b}, invalid {invalid:#b})"
+            );
+        }
     }
 
     /// Verifies the holder and stale bitmasks against true residency and
-    /// validity for **every** block any cache or either mask tracks, in
-    /// both directions. Test hook for the snoop-filter property suite; not
-    /// part of the public API.
+    /// validity for **every** block any cache or either mask tracks, so a
+    /// mask can neither miss a frame nor list one that is gone. Test hook
+    /// for the snoop-filter property suite; not part of the public API.
     ///
     /// # Panics
     ///
     /// Panics with a description of the first divergence found.
     #[doc(hidden)]
     pub fn assert_snoop_filter_exact(&self) {
-        if !self.track_holders {
-            return;
+        let mut blocks = self.memory.masked_blocks();
+        for cache in &self.caches {
+            blocks.extend(cache.lines().map(|line| line.tag));
         }
-        // Per block: (resident frames, invalid frames).
-        let mut expected: BTreeMap<BlockAddr, (u64, u64)> = BTreeMap::new();
-        for (j, cache) in self.caches.iter().enumerate() {
-            for line in cache.lines() {
-                let entry = expected.entry(line.tag).or_insert((0, 0));
-                entry.0 |= 1 << j;
-                if !line.state.descriptor().is_valid() {
-                    entry.1 |= 1 << j;
-                }
-            }
-        }
-        for (&block, &(resident, invalid)) in &expected {
-            assert_eq!(
-                self.memory.holders_mask(block),
-                resident,
-                "holder mask for {block} missing residency bits"
-            );
-            assert_eq!(
-                self.memory.stale_mask(block),
-                invalid,
-                "stale mask for {block} missing invalid-copy bits"
-            );
-        }
-        let listed = |block: &BlockAddr| expected.get(block).copied().unwrap_or((0, 0));
-        for block in self.memory.holder_blocks() {
-            assert_eq!(
-                self.memory.holders_mask(block),
-                listed(&block).0,
-                "holder mask for {block} lists caches with no frame"
-            );
-        }
-        for block in self.memory.stale_blocks() {
-            assert_eq!(
-                self.memory.stale_mask(block),
-                listed(&block).1,
-                "stale mask for {block} lists frames that are not invalid copies"
-            );
+        for block in blocks {
+            self.assert_snoop_filter_exact_for(block);
         }
     }
 }

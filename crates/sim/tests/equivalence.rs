@@ -39,15 +39,13 @@ struct RunOutput {
 
 /// Runs a fresh workload from `make` on `kind` under `mode`, returning the
 /// final statistics, the full trace event sequence, the latency
-/// histograms, and the interval time-series. `filter` toggles the holder
-/// bitmask snoop filter (on by default in real configs); `robust` arms the
-/// watchdog and installs an inert fault plan, which must change nothing.
+/// histograms, and the interval time-series. `robust` arms the watchdog
+/// and installs an inert fault plan, which must change nothing.
 fn run_mode_with<W: Workload>(
     kind: ProtocolKind,
     mode: EngineMode,
     procs: usize,
     words: usize,
-    filter: bool,
     robust: bool,
     make: impl FnOnce() -> W,
 ) -> RunOutput {
@@ -59,7 +57,6 @@ fn run_mode_with<W: Workload>(
             .with_trace(true)
             .with_histograms(true)
             .with_timeline(WINDOW)
-            .with_snoop_filter(filter)
             .with_engine(mode);
         if robust {
             cfg = cfg
@@ -86,10 +83,9 @@ fn run_mode<W: Workload>(
     mode: EngineMode,
     procs: usize,
     words: usize,
-    filter: bool,
     make: impl FnOnce() -> W,
 ) -> RunOutput {
-    run_mode_with(kind, mode, procs, words, filter, false, make)
+    run_mode_with(kind, mode, procs, words, false, make)
 }
 
 /// Asserts one run matches the cycle-accurate reference, with a label for
@@ -113,18 +109,15 @@ fn assert_matches_reference(kind: ProtocolKind, label: &str, reference: &RunOutp
     );
 }
 
-/// Asserts both engine modes agree on `kind` for the workload `make`, and
-/// that force-disabling the snoop filter changes nothing either.
+/// Asserts both engine modes agree on `kind` for the workload `make`.
 fn assert_equivalent<W: Workload>(kind: ProtocolKind, procs: usize, make: impl Fn() -> W) {
     let words = if kind.requires_word_blocks() { 1 } else { 4 };
-    let reference = run_mode(kind, EngineMode::CycleAccurate, procs, words, true, &make);
-    let event = run_mode(kind, EngineMode::EventDriven, procs, words, true, &make);
+    let reference = run_mode(kind, EngineMode::CycleAccurate, procs, words, &make);
+    let event = run_mode(kind, EngineMode::EventDriven, procs, words, &make);
     assert_matches_reference(kind, "event-driven", &reference, &event);
-    let unfiltered = run_mode(kind, EngineMode::EventDriven, procs, words, false, &make);
-    assert_matches_reference(kind, "snoop filter off", &reference, &unfiltered);
     // An armed watchdog plus an inert fault plan must be invisible: the
     // watchdog only reads engine state and an all-zero plan never draws.
-    let robust = run_mode_with(kind, EngineMode::EventDriven, procs, words, true, true, &make);
+    let robust = run_mode_with(kind, EngineMode::EventDriven, procs, words, true, &make);
     assert_matches_reference(kind, "inert faults + watchdog", &reference, &robust);
     assert!(reference.stats.total_refs() > 0, "{kind}: workload must do real work");
 }
@@ -180,10 +173,10 @@ fn critical_section_with_ready_sections_equivalent() {
 
 #[test]
 fn lock_handoff_equivalent_at_64_and_130_processors() {
-    // The processor sets are word arrays: 130 processors span three words,
-    // so round-robin arbitration from `rr` wraps across word boundaries,
-    // and above 64 the holder masks give way to unfiltered snoops while
-    // the watch set keeps filtering unlock broadcasts.
+    // The processor sets and the holder and stale masks are word arrays:
+    // 130 processors span three words, so round-robin arbitration from
+    // `rr` wraps across word boundaries, and snoops and unlock broadcasts
+    // walk the masks and the watch set one word at a time.
     for procs in [64, 130] {
         for kind in [ProtocolKind::BitarDespain, ProtocolKind::Illinois] {
             assert_equivalent(kind, procs, || {
@@ -285,10 +278,9 @@ fn ready_section_accrues_exactly_c_useful_cycles() {
             .work_while_waiting(READY_SECTION)
             .build()
     };
-    let ev_stats =
-        run_mode(ProtocolKind::BitarDespain, EngineMode::EventDriven, 2, 4, true, make).stats;
+    let ev_stats = run_mode(ProtocolKind::BitarDespain, EngineMode::EventDriven, 2, 4, make).stats;
     let ref_stats =
-        run_mode(ProtocolKind::BitarDespain, EngineMode::CycleAccurate, 2, 4, true, make).stats;
+        run_mode(ProtocolKind::BitarDespain, EngineMode::CycleAccurate, 2, 4, make).stats;
     assert_eq!(ev_stats, ref_stats, "modes diverged");
     let useful: u64 = ev_stats.per_proc.iter().map(|p| p.useful_wait_cycles).sum();
     assert!(ev_stats.locks.denied > 0, "workload must contend");
