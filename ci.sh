@@ -38,6 +38,14 @@ if grep -rnE '^\s*(pub(\([a-z]+\))?\s+)?static\s+(mut\s|[A-Za-z0-9_]+\s*:[^=]*(A
   exit 1
 fi
 
+# No panicking sink: non-test code in mcs-obs reports failures (a latched
+# write error, a parse error) instead of unwrapping them, so a closed pipe
+# cannot abort a run. Each file is scanned up to its `#[cfg(test)]` line.
+if awk '/^#\[cfg\(test\)\]/ { nextfile } /\.(expect|unwrap)\(/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' crates/obs/src/*.rs; then
+  echo "ci.sh: .expect( or .unwrap( in non-test crates/obs/src code (listed above)" >&2
+  exit 1
+fi
+
 # Perf smoke: require random-sharing throughput to stay above half the
 # committed BENCH_hotpath.json figure. Generous on purpose — it catches
 # "the hot path fell off a cliff", not noise.

@@ -149,10 +149,10 @@ impl RunSpec {
 
     /// Builds the system, attaches `sink` if given, runs `workload` and
     /// collects the outputs — **never panicking**: a spec that cannot be
-    /// built (no processors) or a simulation
-    /// abort (a watchdog trip, an oracle violation, an unrecoverable fault)
-    /// lands in [`HarnessRun::error`], with the statistics of the simulated
-    /// prefix.
+    /// built (no processors), a simulation abort (a watchdog trip, an
+    /// oracle violation, an unrecoverable fault) or a sink that failed to
+    /// write ([`SimError::Sink`]) lands in [`HarnessRun::error`], with the
+    /// statistics of the simulated prefix.
     pub fn try_run<W: Workload>(
         &self,
         workload: &mut W,
@@ -187,6 +187,7 @@ impl RunSpec {
                 Err(e) => (sys.stats().clone(), false, Some(e)),
             };
             sys.finish_sinks();
+            let error = error.or_else(|| sys.sink_error());
             HarnessRun {
                 stats,
                 completed,
@@ -232,8 +233,10 @@ impl RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_obs::{JsonlSink, RunMeta};
     use mcs_sync::LockSchemeKind;
     use mcs_workloads::CriticalSectionWorkload;
+    use std::io;
 
     fn tiny_cs() -> CriticalSectionWorkload {
         CriticalSectionWorkload::builder()
@@ -302,6 +305,45 @@ mod tests {
         assert!(run.watchdog.expect("watchdog armed").checks > 0);
         assert!(run.trace_len > 0, "prefix trace must be available post-mortem");
         assert!(run.stats.cycles > 0, "prefix stats must be available post-mortem");
+    }
+
+    /// A writer whose third `write` fails as a closed pipe does.
+    struct BreaksOnThirdWrite(u32);
+
+    impl io::Write for BreaksOnThirdWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0 += 1;
+            if self.0 >= 3 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn try_run_reports_a_failing_sink_as_an_error() {
+        let mut cs = CriticalSectionWorkload::builder()
+            .scheme(LockSchemeKind::CacheLock)
+            .words_per_block(4)
+            .locks(1)
+            .payload_blocks(1)
+            .payload_reads(2)
+            .payload_writes(2)
+            .think_cycles(30)
+            .iterations(20)
+            .build();
+        let sink = JsonlSink::new(BreaksOnThirdWrite(0), &RunMeta::new());
+        let run = RunSpec::new(ProtocolKind::BitarDespain).try_run(&mut cs, Some(Box::new(sink)));
+        assert!(run.completed, "a failing sink must not stop the simulation");
+        assert!(
+            matches!(run.error, Some(SimError::Sink { kind: io::ErrorKind::BrokenPipe, .. })),
+            "got: {:?}",
+            run.error
+        );
     }
 
     #[test]

@@ -539,7 +539,7 @@ mod tests {
 
     impl fmt::Display for TS {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "{self:?}")
+            f.write_str(self.name())
         }
     }
 
@@ -558,6 +558,14 @@ mod tests {
         }
         fn all() -> &'static [Self] {
             &[TS::I, TS::R, TS::W, TS::L]
+        }
+        fn name(&self) -> &'static str {
+            match self {
+                TS::I => "I",
+                TS::R => "R",
+                TS::W => "W",
+                TS::L => "L",
+            }
         }
     }
 

@@ -72,16 +72,7 @@ pub enum BitarState {
 
 impl fmt::Display for BitarState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BitarState::Invalid => "I",
-            BitarState::Read => "R",
-            BitarState::ReadSourceClean => "RSC",
-            BitarState::ReadSourceDirty => "RSD",
-            BitarState::WriteSourceClean => "WSC",
-            BitarState::WriteSourceDirty => "WSD",
-            BitarState::LockSourceDirty => "LSD",
-            BitarState::LockSourceDirtyWaiter => "LSDW",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -151,6 +142,19 @@ impl LineState for BitarState {
             LockSourceDirty,
             LockSourceDirtyWaiter,
         ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            BitarState::Invalid => "I",
+            BitarState::Read => "R",
+            BitarState::ReadSourceClean => "RSC",
+            BitarState::ReadSourceDirty => "RSD",
+            BitarState::WriteSourceClean => "WSC",
+            BitarState::WriteSourceDirty => "WSD",
+            BitarState::LockSourceDirty => "LSD",
+            BitarState::LockSourceDirtyWaiter => "LSDW",
+        }
     }
 }
 

@@ -150,7 +150,7 @@ macro_rules! with_protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_model::Protocol;
+    use mcs_model::{LineState, Protocol};
 
     #[test]
     fn ids_roundtrip() {
@@ -180,6 +180,32 @@ mod tests {
         assert!(names[3].contains("Yen"));
         assert!(names[4].contains("Katz") || names[4].contains("Berkeley"));
         assert!(names[5].contains("Bitar"));
+    }
+
+    /// Every protocol's state names: one per state, what `Display`
+    /// prints, and safe to write into JSON unescaped.
+    fn state_names<P: Protocol>(_: &P) -> Vec<&'static str> {
+        let all = <P::State as LineState>::all();
+        let names: Vec<_> = all.iter().map(LineState::name).collect();
+        for (state, name) in all.iter().zip(&names) {
+            assert_eq!(state.to_string(), *name, "{state:?}: name differs from Display");
+            assert!(
+                !name.is_empty() && name.bytes().all(|b| b.is_ascii_alphanumeric()),
+                "{state:?}: {name:?} is not a JSON-safe ASCII token"
+            );
+        }
+        names
+    }
+
+    #[test]
+    fn state_names_are_unique_display_tokens() {
+        for kind in ProtocolKind::ALL {
+            let mut names = with_protocol!(kind, p => state_names(&p));
+            let count = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), count, "{kind}: duplicate state names");
+        }
     }
 
     #[test]

@@ -50,6 +50,21 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
+    /// The access kind's stable name (`"lock-read"`, ...), as displayed
+    /// and as traces record it.
+    pub fn name(self) -> &'static str {
+        match self {
+            AccessKind::Read => "read",
+            AccessKind::Write => "write",
+            AccessKind::ReadForWrite => "read-for-write",
+            AccessKind::LockRead => "lock-read",
+            AccessKind::UnlockWrite => "unlock-write",
+            AccessKind::Rmw => "rmw",
+            AccessKind::WriteNoFetch => "write-no-fetch",
+            AccessKind::WriteIfOwned => "write-if-owned",
+        }
+    }
+
     /// Does this access store data?
     pub fn is_write(self) -> bool {
         matches!(
@@ -78,17 +93,7 @@ impl AccessKind {
 
 impl fmt::Display for AccessKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AccessKind::Read => "read",
-            AccessKind::Write => "write",
-            AccessKind::ReadForWrite => "read-for-write",
-            AccessKind::LockRead => "lock-read",
-            AccessKind::UnlockWrite => "unlock-write",
-            AccessKind::Rmw => "rmw",
-            AccessKind::WriteNoFetch => "write-no-fetch",
-            AccessKind::WriteIfOwned => "write-if-owned",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -136,6 +136,11 @@ pub trait LineState:
     /// All states of the protocol, for Table 1 and exhaustive transition
     /// exploration (Figure 10).
     fn all() -> &'static [Self];
+
+    /// The state's short name (`"I"`, `"RSD"`, ...): what `Display`
+    /// prints and what traces record. Each protocol keeps its names in
+    /// this one table.
+    fn name(&self) -> &'static str;
 }
 
 /// Outcome of presenting a processor access to a line (entry point 1).

@@ -1,8 +1,9 @@
 //! Event tracing, used to regenerate the paper's Figures 1–9 as textual
 //! protocol scenarios and to debug protocol implementations.
 //!
-//! States are recorded as display strings so one trace type serves every
-//! protocol.
+//! States are recorded by their static names
+//! ([`LineState::name`](crate::LineState::name)), so one trace type serves
+//! every protocol and recording a state change allocates nothing.
 
 use crate::bus::{BusTxn, SnoopSummary};
 use crate::ops::ProcOp;
@@ -23,14 +24,22 @@ pub enum StateCause {
     Evict,
 }
 
-impl fmt::Display for StateCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl StateCause {
+    /// The cause's stable name (`"snoop"`, ...), as displayed and as
+    /// traces record it.
+    pub fn name(self) -> &'static str {
+        match self {
             StateCause::ProcAccess => "proc",
             StateCause::Snoop => "snoop",
             StateCause::Complete => "complete",
             StateCause::Evict => "evict",
-        })
+        }
+    }
+}
+
+impl fmt::Display for StateCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -61,10 +70,10 @@ pub enum Event {
         cache: CacheId,
         /// Which block.
         block: BlockAddr,
-        /// Previous state (display form).
-        from: String,
-        /// New state (display form).
-        to: String,
+        /// Previous state's name.
+        from: &'static str,
+        /// New state's name.
+        to: &'static str,
         /// What caused the change.
         cause: StateCause,
     },
@@ -445,8 +454,8 @@ mod tests {
         let e = Event::StateChange {
             cache: CacheId(0),
             block: BlockAddr(3),
-            from: "Invalid".into(),
-            to: "Read".into(),
+            from: "Invalid",
+            to: "Read",
             cause: StateCause::Complete,
         };
         assert_eq!(e.to_string(), "C0 B0x3: Invalid -> Read (complete)");

@@ -7,12 +7,16 @@
 //! exactly RFC 8259 JSON so it doubles as an honesty check on the
 //! serializers.
 
-use std::fmt::Write as _;
-
 /// Appends `s` to `out` as a JSON string literal (including the quotes),
 /// escaping quotes, backslashes and control characters.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
+    // State names and most notes need no escape: copy them in one go.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -23,7 +27,10 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
             }
             c => out.push(c),
         }
@@ -58,7 +65,14 @@ pub struct ValidLine {
 /// Returns a human-readable description of the first syntax error, with a
 /// byte offset.
 pub fn validate_line(line: &str) -> Result<ValidLine, String> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0, cycle: None, is_meta: false, depth: 0 };
+    let mut p = Parser {
+        text: line,
+        bytes: line.as_bytes(),
+        pos: 0,
+        cycle: None,
+        is_meta: false,
+        depth: 0,
+    };
     p.skip_ws();
     p.value(true)?;
     p.skip_ws();
@@ -71,6 +85,7 @@ pub fn validate_line(line: &str) -> Result<ValidLine, String> {
 const MAX_DEPTH: u32 = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     cycle: Option<u64>,
@@ -235,18 +250,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always well-formed).
-                    let s = &self.bytes[self.pos..];
-                    let ch_len = std::str::from_utf8(s)
-                        .map_err(|_| self.err("invalid utf-8"))?
-                        .chars()
-                        .next()
-                        .map(char::len_utf8)
-                        .unwrap_or(1);
-                    let text = std::str::from_utf8(&s[..ch_len]).unwrap();
-                    out.push_str(text);
-                    self.pos += ch_len;
+                    // Consume one UTF-8 scalar. The input is a &str and
+                    // `pos` only ever moves by whole scalars, so it sits on
+                    // a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }

@@ -43,13 +43,7 @@ pub enum BerkeleyState {
 
 impl fmt::Display for BerkeleyState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BerkeleyState::Invalid => "I",
-            BerkeleyState::Shared => "S",
-            BerkeleyState::SharedDirty => "SD",
-            BerkeleyState::WriteClean => "WC",
-            BerkeleyState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -96,6 +90,16 @@ impl LineState for BerkeleyState {
             BerkeleyState::WriteClean,
             BerkeleyState::Dirty,
         ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            BerkeleyState::Invalid => "I",
+            BerkeleyState::Shared => "S",
+            BerkeleyState::SharedDirty => "SD",
+            BerkeleyState::WriteClean => "WC",
+            BerkeleyState::Dirty => "D",
+        }
     }
 }
 

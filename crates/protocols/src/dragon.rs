@@ -33,13 +33,7 @@ pub enum DragonState {
 
 impl fmt::Display for DragonState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DragonState::Invalid => "I",
-            DragonState::Exclusive => "E",
-            DragonState::SharedClean => "Sc",
-            DragonState::SharedModified => "Sm",
-            DragonState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -86,6 +80,16 @@ impl LineState for DragonState {
             DragonState::SharedModified,
             DragonState::Dirty,
         ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            DragonState::Invalid => "I",
+            DragonState::Exclusive => "E",
+            DragonState::SharedClean => "Sc",
+            DragonState::SharedModified => "Sm",
+            DragonState::Dirty => "D",
+        }
     }
 }
 

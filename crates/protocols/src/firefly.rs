@@ -29,12 +29,7 @@ pub enum FireflyState {
 
 impl fmt::Display for FireflyState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FireflyState::Invalid => "I",
-            FireflyState::Exclusive => "E",
-            FireflyState::Shared => "S",
-            FireflyState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -69,6 +64,15 @@ impl LineState for FireflyState {
 
     fn all() -> &'static [Self] {
         &[FireflyState::Invalid, FireflyState::Exclusive, FireflyState::Shared, FireflyState::Dirty]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            FireflyState::Invalid => "I",
+            FireflyState::Exclusive => "E",
+            FireflyState::Shared => "S",
+            FireflyState::Dirty => "D",
+        }
     }
 }
 

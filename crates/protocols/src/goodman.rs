@@ -39,12 +39,7 @@ pub enum GoodmanState {
 
 impl fmt::Display for GoodmanState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            GoodmanState::Invalid => "I",
-            GoodmanState::Valid => "V",
-            GoodmanState::Reserved => "R",
-            GoodmanState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -79,6 +74,15 @@ impl LineState for GoodmanState {
 
     fn all() -> &'static [Self] {
         &[GoodmanState::Invalid, GoodmanState::Valid, GoodmanState::Reserved, GoodmanState::Dirty]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            GoodmanState::Invalid => "I",
+            GoodmanState::Valid => "V",
+            GoodmanState::Reserved => "R",
+            GoodmanState::Dirty => "D",
+        }
     }
 }
 

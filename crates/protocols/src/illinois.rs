@@ -37,12 +37,7 @@ pub enum IllinoisState {
 
 impl fmt::Display for IllinoisState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            IllinoisState::Invalid => "I",
-            IllinoisState::Shared => "S",
-            IllinoisState::Exclusive => "E",
-            IllinoisState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -84,6 +79,15 @@ impl LineState for IllinoisState {
             IllinoisState::Exclusive,
             IllinoisState::Dirty,
         ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            IllinoisState::Invalid => "I",
+            IllinoisState::Shared => "S",
+            IllinoisState::Exclusive => "E",
+            IllinoisState::Dirty => "D",
+        }
     }
 }
 

@@ -44,12 +44,7 @@ pub enum RudolphSegallState {
 
 impl fmt::Display for RudolphSegallState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RudolphSegallState::Invalid => "I",
-            RudolphSegallState::Shared => "S",
-            RudolphSegallState::WrittenOnce => "W1",
-            RudolphSegallState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -92,6 +87,15 @@ impl LineState for RudolphSegallState {
             RudolphSegallState::WrittenOnce,
             RudolphSegallState::Dirty,
         ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            RudolphSegallState::Invalid => "I",
+            RudolphSegallState::Shared => "S",
+            RudolphSegallState::WrittenOnce => "W1",
+            RudolphSegallState::Dirty => "D",
+        }
     }
 }
 

@@ -37,11 +37,7 @@ pub enum SynapseState {
 
 impl fmt::Display for SynapseState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SynapseState::Invalid => "I",
-            SynapseState::Valid => "V",
-            SynapseState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -70,6 +66,14 @@ impl LineState for SynapseState {
 
     fn all() -> &'static [Self] {
         &[SynapseState::Invalid, SynapseState::Valid, SynapseState::Dirty]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            SynapseState::Invalid => "I",
+            SynapseState::Valid => "V",
+            SynapseState::Dirty => "D",
+        }
     }
 }
 

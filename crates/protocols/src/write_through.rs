@@ -26,10 +26,7 @@ pub enum WriteThroughState {
 
 impl fmt::Display for WriteThroughState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            WriteThroughState::Invalid => "I",
-            WriteThroughState::Valid => "V",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -52,6 +49,13 @@ impl LineState for WriteThroughState {
 
     fn all() -> &'static [Self] {
         &[WriteThroughState::Invalid, WriteThroughState::Valid]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            WriteThroughState::Invalid => "I",
+            WriteThroughState::Valid => "V",
+        }
     }
 }
 

@@ -30,12 +30,7 @@ pub enum YenState {
 
 impl fmt::Display for YenState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            YenState::Invalid => "I",
-            YenState::Valid => "V",
-            YenState::WriteClean => "WC",
-            YenState::Dirty => "D",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -70,6 +65,15 @@ impl LineState for YenState {
 
     fn all() -> &'static [Self] {
         &[YenState::Invalid, YenState::Valid, YenState::WriteClean, YenState::Dirty]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            YenState::Invalid => "I",
+            YenState::Valid => "V",
+            YenState::WriteClean => "WC",
+            YenState::Dirty => "D",
+        }
     }
 }
 

@@ -22,7 +22,7 @@ enum Msi {
 
 impl fmt::Display for Msi {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
+        f.write_str(self.name())
     }
 }
 
@@ -49,6 +49,13 @@ impl LineState for Msi {
     }
     fn all() -> &'static [Self] {
         &[Msi::I, Msi::S, Msi::M]
+    }
+    fn name(&self) -> &'static str {
+        match self {
+            Msi::I => "I",
+            Msi::S => "S",
+            Msi::M => "M",
+        }
     }
 }
 

@@ -85,7 +85,7 @@ fn cache_structure_invariants() {
     struct Tiny(bool);
     impl std::fmt::Display for Tiny {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{}", if self.0 { "V" } else { "I" })
+            f.write_str(self.name())
         }
     }
     impl LineState for Tiny {
@@ -106,6 +106,13 @@ fn cache_structure_invariants() {
         }
         fn all() -> &'static [Self] {
             &[Tiny(false), Tiny(true)]
+        }
+        fn name(&self) -> &'static str {
+            if self.0 {
+                "V"
+            } else {
+                "I"
+            }
         }
     }
 
