@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
-# test suite with debug-checks active, clippy with warnings denied, a perf
-# smoke against the committed hot-path baselines, an observability smoke
-# run, and a benchmark correctness smoke. No network access required or
-# attempted.
+# test suite with debug-checks active, clippy with warnings denied, fault
+# and observability smoke runs, and a benchmark smoke that checks every
+# simbench workload's golden digests and a calibrated throughput floor on
+# dense_sharing. No network access required or attempted.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,8 +13,8 @@ cd "$(dirname "$0")"
 # mcs-sim and mcs-bench alone exercises the benchmark configuration, where
 # the workspace dependency's `default-features = false` leaves the checks
 # out of the simulator entirely. The -p mcs-bench build runs last so the
-# bench_engine/obsreport binaries left in target/release are the
-# checks-off ones the smoke steps below should measure.
+# faultmatrix/obsreport binaries left in target/release are the checks-off
+# ones the smoke steps below run.
 cargo build --release --offline --workspace
 cargo build --release --offline -p mcs-sim --no-default-features
 cargo build --release --offline -p mcs-bench
@@ -24,7 +24,7 @@ cargo build --release --offline -p mcs-bench
 # the replacement flag-mirror consistency check.
 cargo test -q --offline --workspace
 # The same golden digests and engine-mode equivalence with debug-checks
-# compiled out: the configuration simbench and bench_engine ship. Code on
+# compiled out: the configuration simbench ships. Code on
 # both sides of `cfg!(feature = "debug-checks")` must give the same runs.
 cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -45,11 +45,6 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile } /\.(expect|unwrap)\(/ { print FILENAME 
   echo "ci.sh: .expect( or .unwrap( in non-test crates/obs/src code (listed above)" >&2
   exit 1
 fi
-
-# Perf smoke: require random-sharing throughput to stay above half the
-# committed BENCH_hotpath.json figure. Generous on purpose — it catches
-# "the hot path fell off a cliff", not noise.
-./target/release/bench_engine --smoke BENCH_hotpath.json
 
 # Fault-matrix smoke: every seeded fault scenario must terminate in a
 # structured, deterministic way — no panic, no hang. The wall-clock
@@ -74,16 +69,35 @@ done
 # reports as `"correct": true`.
 # One traced lock_handoff run too: the traced run wraps the protocol,
 # workload and sinks to count snoops per transaction, and must reproduce
-# the untraced digests.
+# the untraced digests. The result line is left in `last` for the perf
+# gate below.
 simbench_correct() {
-  local workload=$1 trace=$2 last
+  local workload=$1 trace=$2
   last=$(python3 simbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace "$trace" | tail -n 1)
   case "$last" in
     *'"correct": true'*) ;;
     *) echo "ci.sh: simbench $workload (trace $trace) is not correct: $last" >&2; exit 1 ;;
   esac
 }
-for workload in dense_sharing lock_handoff observed_locks experiment_suite; do
+
+# Perf gate: the dense_sharing run must keep its calibrated refs_per_s
+# (retired references per host second, scaled by simbench's calibration
+# kernel) above this floor: about half the 2.35M median of 13 such 3 s
+# runs at commit 09ed9da on a 2-core "Intel(R) Xeon(R) Processor" host
+# (range 2.06M-2.49M). Generous on purpose: it catches "the hot path fell
+# off a cliff", not noise.
+DENSE_REFS_PER_S_FLOOR=1200000
+simbench_correct dense_sharing 0
+python3 -c '
+import json, sys
+refs = json.loads(sys.argv[1])["metrics"]["refs_per_s"]["value"]
+floor = float(sys.argv[2])
+if refs < floor:
+    sys.exit(f"ci.sh: perf gate failed: dense_sharing refs_per_s {refs:.0f} is below the floor {floor:.0f}")
+print(f"ci.sh: perf gate: dense_sharing refs_per_s {refs:.0f} (floor {floor:.0f})")
+' "$last" "$DENSE_REFS_PER_S_FLOOR"
+
+for workload in lock_handoff observed_locks experiment_suite; do
   simbench_correct "$workload" 0
 done
 simbench_correct lock_handoff 1

@@ -1,36 +1,28 @@
 //! Shared run harness: one place that builds a system from a compact spec,
 //! runs a workload on it, and collects every observability output.
 //!
-//! The experiment runners ([`crate::experiments`]), the engine benchmark
-//! (`bench_engine`), the fault matrix and the observed-run library
-//! ([`crate::obsrun`]) all build their systems through [`RunSpec`], so a
-//! change to how systems are constructed (a new config knob, a different
-//! default geometry) lands in one place, and every run's configuration is
-//! visible at its call site.
+//! The experiment runners ([`crate::experiments`]), the fault matrix, the
+//! observed-run library ([`crate::obsrun`]) and the simbench benchmark all
+//! build their systems through [`RunSpec`], so a change to how systems are
+//! constructed (a new config knob, a different default geometry) lands in
+//! one place, and every run's configuration is visible at its call site.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::Stats;
 use mcs_obs::{EventSink, IntervalSampler, LatencyHists};
 use mcs_sim::faults::{FaultPlan, FaultStats, WatchdogConfig, WatchdogReport};
-use mcs_sim::{EngineMode, SimError, System, SystemConfig, Workload};
-use std::time::Instant;
-
-/// Times a closure, returning its result and the elapsed wall seconds.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64())
-}
+use mcs_sim::{SimError, System, SystemConfig, Workload};
 
 /// Compact description of one benchmark/observed system: protocol, scale,
-/// cache geometry, engine mode and which observability outputs to record.
+/// cache geometry, cycle ceiling, fault and watchdog layers, and which
+/// observability outputs to record. Runs use the default (event-driven)
+/// engine.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     kind: ProtocolKind,
     procs: usize,
     cache: CacheConfig,
-    engine: EngineMode,
     histograms: bool,
     timeline_window: Option<u64>,
     max_cycles: u64,
@@ -76,7 +68,6 @@ impl RunSpec {
             procs: 4,
             cache: CacheConfig::fully_associative(64, words_per_block)
                 .expect("64 fully associative 1- or 4-word blocks is a valid geometry"),
-            engine: EngineMode::default(),
             histograms: false,
             timeline_window: None,
             max_cycles: 300_000_000,
@@ -95,12 +86,6 @@ impl RunSpec {
     /// Replaces the default cache geometry.
     pub fn cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Selects the time-advance engine.
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -159,7 +144,7 @@ impl RunSpec {
         sink: Option<Box<dyn EventSink>>,
     ) -> HarnessRun {
         with_protocol!(self.kind, p => {
-            let mut cfg = SystemConfig::new(self.procs).with_cache(self.cache).with_engine(self.engine);
+            let mut cfg = SystemConfig::new(self.procs).with_cache(self.cache);
             if self.histograms {
                 cfg = cfg.with_histograms(true);
             }
@@ -251,21 +236,6 @@ mod tests {
             .build()
     }
 
-    /// The workload of an E10 cell: one-word blocks, spinning in cache
-    /// under test-and-test-and-set.
-    fn e10_cs() -> CriticalSectionWorkload {
-        CriticalSectionWorkload::builder()
-            .scheme(LockSchemeKind::TestAndTestAndSet)
-            .words_per_block(1)
-            .locks(1)
-            .payload_blocks(2)
-            .payload_reads(1)
-            .payload_writes(2)
-            .think_cycles(10)
-            .iterations(10)
-            .build()
-    }
-
     #[test]
     fn spec_defaults_resolve_block_size_from_protocol() {
         assert_eq!(RunSpec::new(ProtocolKind::BitarDespain).words_per_block(), 4);
@@ -354,20 +324,5 @@ mod tests {
         assert_eq!(run.error, Some(SimError::NoProcessors));
         assert!(!run.completed);
         assert_eq!(run.stats.cycles, 0, "nothing was simulated");
-    }
-
-    #[test]
-    fn engine_modes_agree_through_the_harness() {
-        // The E10 cell runs Rudolph-Segall on 128 one-word blocks.
-        let e10 = RunSpec::new(ProtocolKind::RudolphSegall)
-            .cache(CacheConfig::fully_associative(128, 1).unwrap());
-        let cells: [(RunSpec, fn() -> CriticalSectionWorkload); 2] =
-            [(RunSpec::new(ProtocolKind::BitarDespain), tiny_cs), (e10, e10_cs)];
-        for (spec, workload) in cells {
-            let ev = spec.clone().engine(EngineMode::EventDriven).run(&mut workload(), None);
-            let cc = spec.engine(EngineMode::CycleAccurate).run(&mut workload(), None);
-            assert!(ev.completed);
-            assert_eq!(ev.stats, cc.stats);
-        }
     }
 }

@@ -37,6 +37,13 @@ struct RunOutput {
     timeline: Vec<Window>,
 }
 
+/// The default geometry: 64 fully-associative blocks of one word where the
+/// protocol requires word blocks, four words otherwise.
+fn default_cache(kind: ProtocolKind) -> CacheConfig {
+    let words = if kind.requires_word_blocks() { 1 } else { 4 };
+    CacheConfig::fully_associative(64, words).expect("valid cache")
+}
+
 /// Runs a fresh workload from `make` on `kind` under `mode`, returning the
 /// final statistics, the full trace event sequence, the latency
 /// histograms, and the interval time-series. `robust` arms the watchdog
@@ -45,11 +52,10 @@ fn run_mode_with<W: Workload>(
     kind: ProtocolKind,
     mode: EngineMode,
     procs: usize,
-    words: usize,
+    cache: CacheConfig,
     robust: bool,
     make: impl FnOnce() -> W,
 ) -> RunOutput {
-    let cache = CacheConfig::fully_associative(64, words).expect("valid cache");
     let mut w = make();
     with_protocol!(kind, p => {
         let mut cfg = SystemConfig::new(procs)
@@ -64,12 +70,13 @@ fn run_mode_with<W: Workload>(
                 .with_watchdog(WatchdogConfig::new().check_interval(777));
         }
         let mut sys = System::new(p, cfg).expect("valid system");
-        let stats = sys
-            .run_workload(&mut w, MAX_CYCLES)
+        let report = sys
+            .run(&mut w, MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{kind} ({mode:?}): {e}"));
+        assert!(report.completed, "{kind} ({mode:?}): run hit the {MAX_CYCLES}-cycle ceiling");
         sys.assert_snoop_filter_exact();
         RunOutput {
-            stats,
+            stats: report.stats,
             trace: sys.trace().to_vec(),
             hists: sys.histograms().expect("histograms enabled").clone(),
             timeline: sys.timeline().expect("timeline enabled").windows().to_vec(),
@@ -82,10 +89,10 @@ fn run_mode<W: Workload>(
     kind: ProtocolKind,
     mode: EngineMode,
     procs: usize,
-    words: usize,
+    cache: CacheConfig,
     make: impl FnOnce() -> W,
 ) -> RunOutput {
-    run_mode_with(kind, mode, procs, words, false, make)
+    run_mode_with(kind, mode, procs, cache, false, make)
 }
 
 /// Asserts one run matches the cycle-accurate reference, with a label for
@@ -109,15 +116,25 @@ fn assert_matches_reference(kind: ProtocolKind, label: &str, reference: &RunOutp
     );
 }
 
-/// Asserts both engine modes agree on `kind` for the workload `make`.
+/// Asserts both engine modes agree on `kind` for the workload `make`, on
+/// the default geometry.
 fn assert_equivalent<W: Workload>(kind: ProtocolKind, procs: usize, make: impl Fn() -> W) {
-    let words = if kind.requires_word_blocks() { 1 } else { 4 };
-    let reference = run_mode(kind, EngineMode::CycleAccurate, procs, words, &make);
-    let event = run_mode(kind, EngineMode::EventDriven, procs, words, &make);
+    assert_equivalent_on(kind, procs, default_cache(kind), make);
+}
+
+/// [`assert_equivalent`] on the cache geometry `cache`.
+fn assert_equivalent_on<W: Workload>(
+    kind: ProtocolKind,
+    procs: usize,
+    cache: CacheConfig,
+    make: impl Fn() -> W,
+) {
+    let reference = run_mode(kind, EngineMode::CycleAccurate, procs, cache, &make);
+    let event = run_mode(kind, EngineMode::EventDriven, procs, cache, &make);
     assert_matches_reference(kind, "event-driven", &reference, &event);
     // An armed watchdog plus an inert fault plan must be invisible: the
     // watchdog only reads engine state and an all-zero plan never draws.
-    let robust = run_mode_with(kind, EngineMode::EventDriven, procs, words, true, &make);
+    let robust = run_mode_with(kind, EngineMode::EventDriven, procs, cache, true, &make);
     assert_matches_reference(kind, "inert faults + watchdog", &reference, &robust);
     assert!(reference.stats.total_refs() > 0, "{kind}: workload must do real work");
 }
@@ -193,6 +210,25 @@ fn lock_handoff_equivalent_at_64_and_130_processors() {
             });
         }
     }
+}
+
+#[test]
+fn e10_word_blocks_ttas_equivalent() {
+    // The E10 cell: Rudolph-Segall on 128 fully-associative one-word
+    // blocks, spinning in cache under test-and-test-and-set.
+    let cache = CacheConfig::fully_associative(128, 1).expect("valid cache");
+    assert_equivalent_on(ProtocolKind::RudolphSegall, 4, cache, || {
+        CriticalSectionWorkload::builder()
+            .scheme(LockSchemeKind::TestAndTestAndSet)
+            .words_per_block(1)
+            .locks(1)
+            .payload_blocks(2)
+            .payload_reads(1)
+            .payload_writes(2)
+            .think_cycles(10)
+            .iterations(10)
+            .build()
+    });
 }
 
 #[test]
@@ -278,9 +314,10 @@ fn ready_section_accrues_exactly_c_useful_cycles() {
             .work_while_waiting(READY_SECTION)
             .build()
     };
-    let ev_stats = run_mode(ProtocolKind::BitarDespain, EngineMode::EventDriven, 2, 4, make).stats;
+    let cache = default_cache(ProtocolKind::BitarDespain);
+    let ev_stats = run_mode(ProtocolKind::BitarDespain, EngineMode::EventDriven, 2, cache, make).stats;
     let ref_stats =
-        run_mode(ProtocolKind::BitarDespain, EngineMode::CycleAccurate, 2, 4, make).stats;
+        run_mode(ProtocolKind::BitarDespain, EngineMode::CycleAccurate, 2, cache, make).stats;
     assert_eq!(ev_stats, ref_stats, "modes diverged");
     let useful: u64 = ev_stats.per_proc.iter().map(|p| p.useful_wait_cycles).sum();
     assert!(ev_stats.locks.denied > 0, "workload must contend");
