@@ -16,7 +16,11 @@
 //! 16 and 130 processors, and the data and line states an I/O script
 //! leaves behind. Together with Rudolph-Segall's revalidation of invalid
 //! copies at 16 and 130 processors, these are the cases where an invalid
-//! frame's snoop can be observed.
+//! frame's snoop can be observed. The last cells pin replacement within a
+//! set: random sharing on an 8-set, 4-way cache (Goodman's invalid copies
+//! are taken before valid lines), and lock runs on 2-set caches where the
+//! holder's locked line is skipped as a victim (2 ways) or spilled to
+//! memory (1 way).
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
@@ -75,6 +79,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("bitar-despain/cache-lock/16/dropped-snoops", 0x2346a368a175ca63),
     ("bitar-despain/cache-lock/130/dropped-snoops", 0xea7165081c7bb388),
     ("io-script/4", 0x662c5850615304da),
+    ("bitar-despain/rs/4/8x4", 0xe1d61096f6ae4905),
+    ("goodman/rs/4/8x4", 0x4e6acbaa1614f95c),
+    ("bitar-despain/cache-lock/4/2x2", 0x3b6e3768af4b134b),
+    ("bitar-despain/cache-lock/4/2x1", 0x8ea004d6243d7945),
 ];
 
 /// 64-bit FNV-1a.
@@ -115,9 +123,20 @@ fn run<W: Workload>(
     kind: ProtocolKind,
     procs: usize,
     cfg_hook: impl FnOnce(SystemConfig) -> SystemConfig,
-    mut workload: W,
+    workload: W,
 ) -> Outcome {
     let cache = CacheConfig::fully_associative(64, words_for(kind)).expect("valid cache");
+    run_on(kind, procs, cache, cfg_hook, workload)
+}
+
+/// [`run`] on a given cache geometry.
+fn run_on<W: Workload>(
+    kind: ProtocolKind,
+    procs: usize,
+    cache: CacheConfig,
+    cfg_hook: impl FnOnce(SystemConfig) -> SystemConfig,
+    mut workload: W,
+) -> Outcome {
     with_protocol!(kind, p => {
         let cfg = cfg_hook(SystemConfig::new(procs).with_cache(cache));
         let mut sys = System::new(p, cfg).expect("valid system");
@@ -306,6 +325,41 @@ fn grid() -> Vec<(String, String)> {
         ));
     }
     cells.push(("io-script/4".to_string(), io_script()));
+    // Set-associative replacement: 8 sets of 4 ways, so victims are chosen
+    // within a set. Goodman's write-once leaves invalid copies, which are
+    // taken before any valid line.
+    let sa = CacheConfig::set_associative(8, 4, 4).expect("valid cache");
+    for kind in [ProtocolKind::BitarDespain, ProtocolKind::Goodman] {
+        let rs = RandomSharingWorkload::new(RandomSharingConfig {
+            refs_per_proc: 400,
+            seed: 0x5E75,
+            ..Default::default()
+        });
+        cells.push((format!("{}/rs/4/8x4", kind.id()), stats_text(run_on(kind, 4, sa, |c| c, rs))));
+    }
+    // Locked ways are never victims while an unlocked way remains: with 2
+    // ways and six payload blocks per atom, the holder's locked line is
+    // often its set's least recently used. With 1 way, allocating payload
+    // into the locked line's set spills its lock bit to memory (Section
+    // E.3).
+    for (ways, payload_blocks) in [(2, 6), (1, 4)] {
+        let cs = CriticalSectionWorkload::builder()
+            .scheme(LockSchemeKind::CacheLock)
+            .words_per_block(4)
+            .locks(3)
+            .payload_blocks(payload_blocks)
+            .payload_reads(3)
+            .payload_writes(3)
+            .think_cycles(10)
+            .iterations(6)
+            .build();
+        let small = CacheConfig::set_associative(2, ways, 4).expect("valid cache");
+        let out = run_on(bd, 4, small, |c| c, cs);
+        if ways == 1 {
+            assert!(out.stats.locks.lock_spills > 0, "the 1-way cell must spill lock bits");
+        }
+        cells.push((format!("bitar-despain/cache-lock/4/2x{ways}"), stats_text(out)));
+    }
     cells
 }
 
