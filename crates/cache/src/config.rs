@@ -106,7 +106,12 @@ impl Default for CacheConfig {
     /// 64 fully-associative frames of 4 words — small enough to exercise
     /// replacement in tests, associative as the lock protocol prefers.
     fn default() -> Self {
-        Self::fully_associative(64, 4).expect("default geometry is valid")
+        CacheConfig {
+            sets: 1,
+            ways: 64,
+            geometry: BlockGeometry::default(),
+            transfer_unit_words: None,
+        }
     }
 }
 
@@ -147,7 +152,6 @@ mod tests {
     #[test]
     fn default_is_fully_associative() {
         let c = CacheConfig::default();
-        assert_eq!(c.sets(), 1);
-        assert_eq!(c.capacity_blocks(), 64);
+        assert_eq!(c, CacheConfig::fully_associative(64, 4).unwrap());
     }
 }

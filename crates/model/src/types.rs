@@ -178,7 +178,7 @@ impl Default for BlockGeometry {
     /// Four words per block — the paper's running "n bus-wide words" example
     /// at a modest size.
     fn default() -> Self {
-        Self::new(4).expect("4 is a power of two")
+        Self { words_per_block: 4, shift: 2 }
     }
 }
 
@@ -193,6 +193,7 @@ mod tests {
         assert!(BlockGeometry::new(12).is_err());
         assert!(BlockGeometry::new(1).is_ok());
         assert!(BlockGeometry::new(8).is_ok());
+        assert_eq!(BlockGeometry::default(), BlockGeometry::new(4).unwrap());
     }
 
     #[test]

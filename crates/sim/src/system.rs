@@ -1683,7 +1683,7 @@ impl<P: Protocol> System<P> {
         {
             self.assert_snoop_filter_exact_for(block);
             for cache in &self.caches {
-                cache.assert_flags_consistent();
+                cache.assert_replacement_consistent();
             }
         }
         out
@@ -1741,7 +1741,14 @@ impl<P: Protocol> System<P> {
                                 block,
                                 dirty,
                             });
-                            copy_between(&mut self.caches, req, j, block);
+                            if !copy_between(&mut self.caches, req, j, block) {
+                                return Err(SimError::EngineInvariant {
+                                    context: "cache-to-cache supply without a frame on each side",
+                                    cycle: self.now,
+                                    cache: CacheId(j),
+                                    block,
+                                });
+                            }
                         }
                         None => {
                             if summary.memory_inhibited {
@@ -2290,16 +2297,23 @@ impl<P: Protocol> System<P> {
     }
 }
 
-/// Copies `block`'s data from cache `src` into cache `dst` (both must hold
-/// a frame for it) without an intermediate allocation.
-fn copy_between<S: LineState>(caches: &mut [Cache<S>], dst: usize, src: usize, block: BlockAddr) {
-    assert_ne!(dst, src, "cache cannot supply itself");
+/// Copies `block`'s data from cache `src` into cache `dst` without an
+/// intermediate allocation. Returns `false` (and copies nothing) when the
+/// two are the same cache or either lacks a frame for the block.
+fn copy_between<S: LineState>(
+    caches: &mut [Cache<S>],
+    dst: usize,
+    src: usize,
+    block: BlockAddr,
+) -> bool {
     if dst < src {
         let (lo, hi) = caches.split_at_mut(src);
-        lo[dst].copy_block_from(&hi[0], block);
-    } else {
+        lo[dst].copy_block_from(&hi[0], block)
+    } else if dst > src {
         let (lo, hi) = caches.split_at_mut(dst);
-        hi[0].copy_block_from(&lo[src], block);
+        hi[0].copy_block_from(&lo[src], block)
+    } else {
+        false
     }
 }
 
