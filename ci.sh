@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
-# test suite with debug-checks active, clippy with warnings denied, fault
-# and observability smoke runs, and a benchmark smoke that checks every
-# simbench workload's golden digests and a calibrated throughput floor on
-# dense_sharing. No network access required or attempted.
+# test suite with debug-checks active, clippy with warnings denied (which
+# also rejects unwrap/expect/unreachable!/panic! in non-test mcs-sim,
+# mcs-obs and mcs-cache code), fault and observability smoke runs, and a
+# benchmark smoke that checks every simbench workload's golden digests and
+# a calibrated throughput floor on dense_sharing. No network access required or attempted.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,6 +28,10 @@ cargo test -q --offline --workspace
 # compiled out: the configuration simbench ships. Code on
 # both sides of `cfg!(feature = "debug-checks")` must give the same runs.
 cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence
+# Warnings denied. mcs-sim, mcs-obs and mcs-cache warn on
+# `unwrap`/`expect`/`unreachable!`/`panic!` outside tests, so a panicking
+# path in the engine, a sink or the cache store fails here: a closed pipe
+# cannot abort a run, and a broken invariant surfaces as a typed error.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # No process-global modes: a mutable static (an atomic, lock, once-cell
@@ -35,16 +40,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # site, in its `RunSpec` or `SystemConfig`.
 if grep -rnE '^\s*(pub(\([a-z]+\))?\s+)?static\s+(mut\s|[A-Za-z0-9_]+\s*:[^=]*(Atomic|Mutex|RwLock|OnceLock|Cell))' crates/*/src; then
   echo "ci.sh: mutable static declared in crates/*/src (listed above)" >&2
-  exit 1
-fi
-
-# No panicking sink or cache store: non-test code in mcs-obs and mcs-cache
-# reports failures (a latched write error, a parse error, a missing frame)
-# instead of unwrapping them, so a closed pipe cannot abort a run and a
-# broken engine invariant surfaces as an error. Each file is scanned up to
-# its `#[cfg(test)]` line.
-if awk '/^#\[cfg\(test\)\]/ { nextfile } /\.(expect|unwrap)\(/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' crates/obs/src/*.rs crates/cache/src/*.rs; then
-  echo "ci.sh: .expect( or .unwrap( in non-test crates/obs/src or crates/cache/src code (listed above)" >&2
   exit 1
 fi
 

@@ -34,7 +34,7 @@ pub fn measure(duality: DirectoryDuality) -> mcs_model::Stats {
         SystemConfig::new(6).with_directory(duality),
     )
     .expect("valid system");
-    let ladder = CriticalSectionWorkload::builder()
+    let mut ladder = CriticalSectionWorkload::builder()
         .scheme(LockSchemeKind::CacheLock)
         .locks(2)
         .payload_blocks(1)
@@ -43,12 +43,12 @@ pub fn measure(duality: DirectoryDuality) -> mcs_model::Stats {
         .think_cycles(10)
         .iterations(15)
         .build();
-    sys.run_workload(ladder, 10_000_000).expect("ladder completes");
-    let random = RandomSharingWorkload::new(RandomSharingConfig {
+    sys.run(&mut ladder, 10_000_000).expect("ladder completes");
+    let mut random = RandomSharingWorkload::new(RandomSharingConfig {
         refs_per_proc: 2_000,
         ..Default::default()
     });
-    sys.run_workload(random, 20_000_000).expect("random stream completes")
+    sys.run(&mut random, 20_000_000).expect("random stream completes").stats
 }
 
 /// Runs the ablation.

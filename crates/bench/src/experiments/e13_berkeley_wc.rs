@@ -33,7 +33,7 @@ fn run_one<P: Protocol>(protocol: P, memory_latency: u64) -> Stats {
     let timing = TimingConfig { memory_latency, ..Default::default() };
     let mut sys =
         System::new(protocol, SystemConfig::new(4).with_timing(timing)).unwrap();
-    sys.run_workload(RandomSharingWorkload::new(workload()), 30_000_000).unwrap()
+    sys.run(&mut RandomSharingWorkload::new(workload()), 30_000_000).unwrap().stats
 }
 
 /// `(stock, ablated)` stats at the given memory latency.

@@ -6,10 +6,11 @@
 //! `figures` binary prints them; the integration tests run them all.
 
 use mcs_cache::CacheConfig;
-use mcs_core::{transitions, BitarDespain, BitarState};
+use crate::harness::RunSpec;
+use mcs_core::{transitions, BitarDespain, BitarState, ProtocolKind};
 use mcs_model::{Addr, BlockAddr, CacheId, LineState as _, ProcId, ProcOp, Word};
 use mcs_sim::{
-    Crossbar, CrossbarConfig, ParallelScriptWorkload, ScriptStep, System, SystemConfig,
+    Crossbar, CrossbarConfig, ParallelScriptWorkload, ScriptStep, ScriptWorkload, System, SystemConfig,
 };
 use mcs_workloads::{PrologConfig, PrologWorkload};
 use std::cell::RefCell;
@@ -41,7 +42,7 @@ fn tiny_sys(procs: usize) -> System<BitarDespain> {
 /// hit, so the requester assumes **write** privilege.
 pub fn fig1() -> Figure {
     let mut s = sys(2);
-    s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]), 10_000).unwrap();
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::WriteSourceClean);
     assert_eq!(s.stats().sources.from_memory, 1);
     Figure { number: 1, caption: "Fetching Unshared Data on Read Miss", body: s.trace().render() }
@@ -50,15 +51,12 @@ pub fn fig1() -> Figure {
 /// Builds the fig-2/3 precondition: block 0 valid (non-source) in C0, with
 /// **no source cache** (C1 fetched it last and then purged it).
 fn no_source_setup(s: &mut System<BitarDespain>) {
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::read(Addr(0))),  // C0: WSC
-            (ProcId(1), ProcOp::read(Addr(0))),  // C1 becomes source, C0 -> R
-            (ProcId(1), ProcOp::read(Addr(40))), // fill C1's 2-frame cache...
-            (ProcId(1), ProcOp::read(Addr(80))), // ...evicting block 0: source lost
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::read(Addr(0))),  // C0: WSC
+        (ProcId(1), ProcOp::read(Addr(0))),  // C1 becomes source, C0 -> R
+        (ProcId(1), ProcOp::read(Addr(40))), // fill C1's 2-frame cache...
+        (ProcId(1), ProcOp::read(Addr(80))), // ...evicting block 0: source lost
+    ]), 10_000)
     .unwrap();
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Read);
     assert_eq!(s.state_of(CacheId(1), BlockAddr(0)), S::Invalid);
@@ -71,7 +69,7 @@ pub fn fig2() -> Figure {
     let mut s = tiny_sys(3);
     no_source_setup(&mut s);
     let mem_before = s.stats().sources.from_memory;
-    s.run_script(vec![(ProcId(2), ProcOp::read(Addr(0)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(2), ProcOp::read(Addr(0)))]), 10_000).unwrap();
     assert_eq!(s.stats().sources.from_memory, mem_before + 1, "memory must provide");
     assert_eq!(s.state_of(CacheId(2), BlockAddr(0)), S::ReadSourceClean);
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Read, "old copy keeps read privilege");
@@ -87,7 +85,8 @@ pub fn fig2() -> Figure {
 pub fn fig3() -> Figure {
     let mut s = tiny_sys(3);
     no_source_setup(&mut s);
-    s.run_script(vec![(ProcId(2), ProcOp::write(Addr(0), Word(5)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(2), ProcOp::write(Addr(0), Word(5)))]), 10_000)
+        .unwrap();
     assert_eq!(s.state_of(CacheId(2), BlockAddr(0)), S::WriteSourceDirty);
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Invalid);
     Figure {
@@ -101,13 +100,10 @@ pub fn fig3() -> Figure {
 /// its clean/dirty status*; the last fetcher becomes the new source.
 pub fn fig4() -> Figure {
     let mut s = sys(2);
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::write(Addr(0), Word(9))), // C0: WSD (dirty)
-            (ProcId(1), ProcOp::read(Addr(0))),
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::write(Addr(0), Word(9))), // C0: WSD (dirty)
+        (ProcId(1), ProcOp::read(Addr(0))),
+    ]), 10_000)
     .unwrap();
     assert_eq!(s.stats().sources.from_cache, 1);
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Read, "old source cedes source status");
@@ -124,16 +120,14 @@ pub fn fig4() -> Figure {
 /// privilege only** — one signal cycle, no data transfer.
 pub fn fig5() -> Figure {
     let mut s = sys(2);
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::read(Addr(0))),
-            (ProcId(1), ProcOp::read(Addr(0))), // both valid; C0 is non-source
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::read(Addr(0))),
+        (ProcId(1), ProcOp::read(Addr(0))), // both valid; C0 is non-source
+    ]), 10_000)
     .unwrap();
     let words_before = s.stats().bus.words_transferred;
-    s.run_script(vec![(ProcId(0), ProcOp::write(Addr(0), Word(3)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::write(Addr(0), Word(3)))]), 10_000)
+        .unwrap();
     assert_eq!(s.stats().bus.count("req-write"), 1, "privilege-only request on the bus");
     assert_eq!(s.stats().bus.words_transferred, words_before, "no data moved");
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::WriteSourceDirty);
@@ -146,18 +140,15 @@ pub fn fig5() -> Figure {
 /// privilege already held it costs zero time.
 pub fn fig6() -> Figure {
     let mut s = sys(2);
-    s.run_script(vec![(ProcId(0), ProcOp::lock_read(Addr(0)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::lock_read(Addr(0)))]), 10_000).unwrap();
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::LockSourceDirty);
     assert_eq!(s.stats().locks.acquires, 1);
     assert_eq!(s.stats().bus.count("fetch-lock"), 1, "one fetch; the lock rode along");
     // Zero-time relock after unlock (write privilege in hand).
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::unlock_write(Addr(0), Word(1))),
-            (ProcId(0), ProcOp::lock_read(Addr(0))),
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::unlock_write(Addr(0), Word(1))),
+        (ProcId(0), ProcOp::lock_read(Addr(0))),
+    ]), 10_000)
     .unwrap();
     assert_eq!(s.stats().locks.zero_time_acquires, 1);
     Figure { number: 6, caption: "Locking a Block", body: s.trace().render() }
@@ -168,7 +159,7 @@ pub fn fig6() -> Figure {
 /// register is armed.
 pub fn fig7() -> Figure {
     let mut s = sys(2);
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), vec![
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Compute(200), // hold the lock long enough to observe
@@ -179,7 +170,7 @@ pub fn fig7() -> Figure {
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(2))),
         ]);
-    s.run_workload(w, 10_000).unwrap();
+    s.run(&mut w, 10_000).unwrap();
     assert_eq!(s.stats().locks.denied, 1, "C1's lock fetch was denied");
     let rendered = s.trace().render();
     assert!(rendered.contains("LSD -> LSDW"), "holder must record the waiter:\n{rendered}");
@@ -192,20 +183,17 @@ pub fn fig7() -> Figure {
 pub fn fig8() -> Figure {
     // Without waiter: zero-time release.
     let mut s = sys(2);
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::lock_read(Addr(0))),
-            (ProcId(0), ProcOp::unlock_write(Addr(0), Word(1))),
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::lock_read(Addr(0))),
+        (ProcId(0), ProcOp::unlock_write(Addr(0), Word(1))),
+    ]), 10_000)
     .unwrap();
     assert_eq!(s.stats().locks.zero_time_releases, 1);
     assert_eq!(s.stats().bus.unlock_broadcasts, 0);
 
     // With waiter: broadcast.
     let mut s2 = sys(2);
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), vec![
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Compute(100),
@@ -216,7 +204,7 @@ pub fn fig8() -> Figure {
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(2))),
         ]);
-    s2.run_workload(w, 10_000).unwrap();
+    s2.run(&mut w, 10_000).unwrap();
     assert!(s2.stats().bus.unlock_broadcasts >= 1, "unlock with waiter must broadcast");
     let mut body = String::from("-- without waiter: zero-time unlock --\n");
     body.push_str(&s.trace().render());
@@ -243,12 +231,12 @@ pub fn fig9() -> Figure {
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(val))),
         ]
     };
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), holder)
         .program(ProcId(1), waiter(20, 2))
         .program(ProcId(2), waiter(25, 3))
         .program(ProcId(3), waiter(30, 4));
-    s.run_workload(w, 50_000).unwrap();
+    s.run(&mut w, 50_000).unwrap();
     let stats = s.stats();
     assert_eq!(stats.locks.acquires, 4, "everyone eventually locks");
     assert_eq!(stats.locks.releases, 4);
@@ -279,8 +267,12 @@ pub fn fig11() -> Figure {
     let procs = 4;
     let xbar = Rc::new(RefCell::new(Crossbar::new(procs, CrossbarConfig::default()).unwrap()));
     let mut w = PrologWorkload::new(PrologConfig::default(), xbar.clone());
-    let mut s = System::new(BitarDespain, SystemConfig::new(procs)).unwrap();
-    let stats = s.run_workload(&mut w, 5_000_000).unwrap();
+    let run = RunSpec::new(ProtocolKind::BitarDespain)
+        .procs(procs)
+        .max_cycles(5_000_000)
+        .run(&mut w, None);
+    assert!(run.completed, "the Prolog workload finishes");
+    let stats = run.stats;
     let xstats = xbar.borrow().stats().clone();
     assert!(w.bindings_published() > 0);
     assert!(xstats.refs > stats.total_refs(), "crossbar carries the majority of traffic");

@@ -6,6 +6,10 @@
 //! build their systems through [`RunSpec`], so a change to how systems are
 //! constructed (a new config knob, a different default geometry) lands in
 //! one place, and every run's configuration is visible at its call site.
+//!
+//! A [`RunSpec`] is a protocol, a cycle ceiling and the [`SystemConfig`] it
+//! builds with: its setters write into that config, and
+//! [`RunSpec::try_run`] hands it to [`System::new`] unchanged.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
@@ -21,14 +25,8 @@ use mcs_sim::{SimError, System, SystemConfig, Workload};
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     kind: ProtocolKind,
-    procs: usize,
-    cache: CacheConfig,
-    histograms: bool,
-    timeline_window: Option<u64>,
+    config: SystemConfig,
     max_cycles: u64,
-    faults: Option<FaultPlan>,
-    watchdog: Option<WatchdogConfig>,
-    trace_capacity: Option<usize>,
 }
 
 /// Everything one harness run produces. Statistics are collected even when
@@ -63,41 +61,36 @@ impl RunSpec {
     /// ceiling (hitting it means a deadlock).
     pub fn new(kind: ProtocolKind) -> Self {
         let words_per_block = if kind.requires_word_blocks() { 1 } else { 4 };
+        let cache = CacheConfig::fully_associative(64, words_per_block)
+            .expect("64 fully associative 1- or 4-word blocks is a valid geometry");
         RunSpec {
             kind,
-            procs: 4,
-            cache: CacheConfig::fully_associative(64, words_per_block)
-                .expect("64 fully associative 1- or 4-word blocks is a valid geometry"),
-            histograms: false,
-            timeline_window: None,
+            config: SystemConfig::new(4).with_cache(cache),
             max_cycles: 300_000_000,
-            faults: None,
-            watchdog: None,
-            trace_capacity: None,
         }
     }
 
     /// Sets the number of processors.
     pub fn procs(mut self, procs: usize) -> Self {
-        self.procs = procs;
+        self.config = self.config.with_processors(procs);
         self
     }
 
     /// Replaces the default cache geometry.
     pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
+        self.config = self.config.with_cache(cache);
         self
     }
 
     /// Enables latency histograms.
     pub fn histograms(mut self) -> Self {
-        self.histograms = true;
+        self.config = self.config.with_histograms(true);
         self
     }
 
     /// Enables the interval time-series with the given window.
     pub fn timeline(mut self, window_cycles: u64) -> Self {
-        self.timeline_window = Some(window_cycles);
+        self.config = self.config.with_timeline(window_cycles);
         self
     }
 
@@ -109,19 +102,19 @@ impl RunSpec {
 
     /// Installs a deterministic fault-injection plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.config = self.config.with_faults(plan);
         self
     }
 
     /// Arms the liveness watchdog.
     pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        self.watchdog = Some(cfg);
+        self.config = self.config.with_watchdog(cfg);
         self
     }
 
     /// Enables the in-memory trace bounded to a ring of `capacity` events.
     pub fn bounded_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
+        self.config = self.config.with_trace(true).with_trace_capacity(capacity);
         self
     }
 
@@ -129,7 +122,7 @@ impl RunSpec {
     /// unless [`Self::cache`] replaced the geometry. Workloads that lay out
     /// data by block read it from here.
     pub fn words_per_block(&self) -> usize {
-        self.cache.geometry().words_per_block()
+        self.config.cache().geometry().words_per_block()
     }
 
     /// Builds the system, attaches `sink` if given, runs `workload` and
@@ -144,23 +137,7 @@ impl RunSpec {
         sink: Option<Box<dyn EventSink>>,
     ) -> HarnessRun {
         with_protocol!(self.kind, p => {
-            let mut cfg = SystemConfig::new(self.procs).with_cache(self.cache);
-            if self.histograms {
-                cfg = cfg.with_histograms(true);
-            }
-            if let Some(window) = self.timeline_window {
-                cfg = cfg.with_timeline(window);
-            }
-            if let Some(plan) = &self.faults {
-                cfg = cfg.with_faults(plan.clone());
-            }
-            if let Some(wd) = self.watchdog {
-                cfg = cfg.with_watchdog(wd);
-            }
-            if let Some(cap) = self.trace_capacity {
-                cfg = cfg.with_trace(true).with_trace_capacity(cap);
-            }
-            let mut sys = match System::new(p, cfg) {
+            let mut sys = match System::new(p, self.config.clone()) {
                 Ok(sys) => sys,
                 Err(e) => return self.unbuilt(e),
             };
@@ -191,7 +168,7 @@ impl RunSpec {
     /// simulated.
     fn unbuilt(&self, error: SimError) -> HarnessRun {
         HarnessRun {
-            stats: Stats::new(self.procs),
+            stats: Stats::new(self.config.processors()),
             completed: false,
             hists: None,
             timeline: None,

@@ -23,6 +23,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test cache code must not panic: a missing frame or a bad geometry
+// is a typed error. Tests keep their unwraps. CI promotes
+// these warnings to errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 mod busywait;
 mod config;

@@ -143,7 +143,9 @@ impl Hist64 {
                 return Some(hi.min(self.max).max(lo.min(self.max)));
             }
         }
-        unreachable!("rank is bounded by count");
+        // The buckets sum to `count` and `rank <= count`, so the loop
+        // returns; the sample of top rank is at most the maximum.
+        Some(self.max)
     }
 
     /// Median upper bound (see [`Hist64::quantile`]).

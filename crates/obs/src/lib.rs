@@ -20,6 +20,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test sink and histogram code must not panic: a write or parse
+// failure is reported, never unwrapped. Tests keep their unwraps. CI promotes
+// these warnings to errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 pub mod hist;
 pub mod json;

@@ -279,7 +279,7 @@ mod tests {
     use super::*;
     use mcs_cache::CacheConfig;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Berkeley> {
         System::new(Berkeley, SystemConfig::new(n)).unwrap()
@@ -288,15 +288,11 @@ mod tests {
     #[test]
     fn dirty_read_state_owner_keeps_block_dirty() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(5))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(5))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(5)));
         // NO flush: the block stays dirty, owned by C0 in SharedDirty.
         assert_eq!(stats.sources.flushes, 0);
@@ -307,16 +303,12 @@ mod tests {
     #[test]
     fn owner_services_later_readers() {
         let mut s = sys(3);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(5))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(2), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::write(Addr(0), Word(5))),
+                (ProcId(1), ProcOp::read(Addr(0))),
+                (ProcId(2), ProcOp::read(Addr(0))),
+            ]), 10_000).unwrap().stats;
         // Both readers served cache-to-cache by the (shared-)dirty owner.
         assert_eq!(stats.sources.from_cache, 2);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::SharedDirty);
@@ -329,18 +321,14 @@ mod tests {
         let config =
             SystemConfig::new(3).with_cache(CacheConfig::fully_associative(2, 4).unwrap());
         let mut s = System::new(Berkeley, config).unwrap();
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(5))), // owner of block 0
-                    (ProcId(1), ProcOp::read(Addr(0))),           // shared
-                    (ProcId(0), ProcOp::write(Addr(16), Word(1))), // fill owner's cache
-                    (ProcId(0), ProcOp::write(Addr(32), Word(2))), // evicts block 0 (writeback)
-                    (ProcId(2), ProcOp::read(Addr(0))),            // no source left -> memory
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(5))), // owner of block 0
+            (ProcId(1), ProcOp::read(Addr(0))),           // shared
+            (ProcId(0), ProcOp::write(Addr(16), Word(1))), // fill owner's cache
+            (ProcId(0), ProcOp::write(Addr(32), Word(2))), // evicts block 0 (writeback)
+            (ProcId(2), ProcOp::read(Addr(0))),            // no source left -> memory
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[4].2.value, Some(Word(5)));
         assert!(stats.sources.source_losses >= 1);
         assert!(stats.sources.flushes >= 1);
@@ -349,15 +337,11 @@ mod tests {
     #[test]
     fn write_clean_is_a_source_for_reads() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read_for_write(Addr(4))), // WriteClean
-                    (ProcId(1), ProcOp::read(Addr(4))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read_for_write(Addr(4))), // WriteClean
+                (ProcId(1), ProcOp::read(Addr(4))),
+            ]), 10_000).unwrap().stats;
         // The inconsistency the paper critiques: WC supplies even though
         // memory is current.
         assert_eq!(stats.sources.from_cache, 1);
@@ -367,20 +351,17 @@ mod tests {
     #[test]
     fn ownership_transfers_on_write_miss_without_flush() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(8), Word(1))),
-                    (ProcId(1), ProcOp::write(Addr(8), Word(2))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::write(Addr(8), Word(1))),
+                (ProcId(1), ProcOp::write(Addr(8), Word(2))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.sources.flushes, 0);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(2)), S::Invalid);
         assert_eq!(s.state_of(CacheId(1), BlockAddr(2)), S::Dirty);
         // Memory was never updated; a third read must come from the owner.
-        let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(8)))], 10_000).unwrap();
+        let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(8)))]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[0].2.value, Some(Word(2)));
     }
 
@@ -459,20 +440,16 @@ impl Protocol for BerkeleyNonSourceWc {
 mod ablation_tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     #[test]
     fn write_clean_no_longer_supplies_reads() {
         let mut s = System::new(BerkeleyNonSourceWc, SystemConfig::new(2)).unwrap();
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read_for_write(Addr(0))), // WC
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read_for_write(Addr(0))), // WC
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(0)));
         // Memory supplied — the stock protocol would have had WC supply.
         assert_eq!(stats.sources.from_cache, 0);
@@ -482,15 +459,11 @@ mod ablation_tests {
     #[test]
     fn dirty_paths_unchanged() {
         let mut s = System::new(BerkeleyNonSourceWc, SystemConfig::new(2)).unwrap();
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(7))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(7))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(7)));
         assert_eq!(stats.sources.from_cache, 1);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), BerkeleyState::SharedDirty);

@@ -236,7 +236,7 @@ impl Protocol for Dragon {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Dragon> {
         System::new(Dragon, SystemConfig::new(n)).unwrap()
@@ -245,17 +245,13 @@ mod tests {
     #[test]
     fn shared_write_updates_other_copies_in_place() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(42))),
-                    (ProcId(1), ProcOp::read(Addr(0))), // still a HIT: copy was updated
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(42))),
+            (ProcId(1), ProcOp::read(Addr(0))), // still a HIT: copy was updated
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[3].2.value, Some(Word(42)));
         assert!(script.results()[3].2.hit, "updated copy must still hit");
         assert_eq!(stats.bus.invalidations, 0);
@@ -267,16 +263,12 @@ mod tests {
     #[test]
     fn unshared_write_is_local() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(4))), // alone -> Exclusive
-                    (ProcId(0), ProcOp::write(Addr(4), Word(1))),
-                    (ProcId(0), ProcOp::write(Addr(4), Word(2))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(4))), // alone -> Exclusive
+                (ProcId(0), ProcOp::write(Addr(4), Word(1))),
+                (ProcId(0), ProcOp::write(Addr(4), Word(2))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("update-word"), 0);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(1)), S::Dirty);
     }
@@ -293,29 +285,26 @@ mod tests {
         for i in 0..10 {
             script.push((ProcId(0), ProcOp::write(Addr(0), Word(i))));
         }
-        let (_, stats) = s.run_script(script, 100_000).unwrap();
+        let stats = s.run(&mut ScriptWorkload::new(script), 100_000).unwrap().stats;
         assert_eq!(stats.bus.count("update-word"), 10);
     }
 
     #[test]
     fn write_miss_to_shared_block_fetches_then_updates() {
         let mut s = sys(3);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(8))),
-                    (ProcId(1), ProcOp::read(Addr(8))),
-                    (ProcId(2), ProcOp::write(Addr(8), Word(5))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(8))),
+                (ProcId(1), ProcOp::read(Addr(8))),
+                (ProcId(2), ProcOp::write(Addr(8), Word(5))),
+            ]), 10_000).unwrap().stats;
         // Fetch + update, no invalidations.
         assert_eq!(stats.bus.count("update-word"), 1);
         assert_eq!(stats.bus.invalidations, 0);
         assert_eq!(s.state_of(CacheId(2), BlockAddr(2)), S::SharedModified);
         // Sharers see the new value without refetching.
-        let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(8)))], 10_000).unwrap();
+        let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(8)))]);
+        s.run(&mut script, 10_000).unwrap();
         assert!(script.results()[0].2.hit);
         assert_eq!(script.results()[0].2.value, Some(Word(5)));
     }
@@ -323,16 +312,12 @@ mod tests {
     #[test]
     fn owner_supplies_dirty_data_without_flush() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(12))),
-                    (ProcId(0), ProcOp::write(Addr(12), Word(9))), // Dirty
-                    (ProcId(1), ProcOp::read(Addr(12))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(12))),
+            (ProcId(0), ProcOp::write(Addr(12), Word(9))), // Dirty
+            (ProcId(1), ProcOp::read(Addr(12))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[2].2.value, Some(Word(9)));
         assert_eq!(stats.sources.from_cache, 1);
         assert_eq!(stats.sources.flushes, 0);
@@ -347,15 +332,12 @@ mod tests {
         let config =
             SystemConfig::new(2).with_cache(CacheConfig::fully_associative(1, 4).unwrap());
         let mut s = System::new(Dragon, config).unwrap();
-        s.run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(4))), // evicts C1's block 0
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))), // update sees no hit
-            ],
-            10_000,
-        )
+        s.run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(4))), // evicts C1's block 0
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))), // update sees no hit
+        ]), 10_000)
         .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Dirty);
     }

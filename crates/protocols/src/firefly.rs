@@ -215,7 +215,7 @@ impl Protocol for Firefly {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Firefly> {
         System::new(Firefly, SystemConfig::new(n)).unwrap()
@@ -224,17 +224,13 @@ mod tests {
     #[test]
     fn shared_write_updates_caches_and_memory() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(7))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(7))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert!(script.results()[3].2.hit);
         assert_eq!(script.results()[3].2.value, Some(Word(7)));
         assert_eq!(stats.bus.count("update-word-mem"), 1);
@@ -246,16 +242,12 @@ mod tests {
     #[test]
     fn shared_writes_stay_clean_so_eviction_is_silent() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(0))),
+                (ProcId(1), ProcOp::read(Addr(0))),
+                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.sources.flushes, 0);
         // Memory already has the value.
         let data = s.io_output(BlockAddr(0), false).unwrap();
@@ -265,16 +257,12 @@ mod tests {
     #[test]
     fn exclusive_writes_are_local_and_dirty() {
         let mut s = sys(1);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(4))),
-                    (ProcId(0), ProcOp::write(Addr(4), Word(1))),
-                    (ProcId(0), ProcOp::write(Addr(4), Word(2))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(4))),
+                (ProcId(0), ProcOp::write(Addr(4), Word(1))),
+                (ProcId(0), ProcOp::write(Addr(4), Word(2))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("update-word-mem"), 0);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(1)), S::Dirty);
     }
@@ -282,16 +270,12 @@ mod tests {
     #[test]
     fn dirty_transfer_flushes_and_shares() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(8))),
-                    (ProcId(0), ProcOp::write(Addr(8), Word(3))), // Dirty
-                    (ProcId(1), ProcOp::read(Addr(8))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(8))),
+            (ProcId(0), ProcOp::write(Addr(8), Word(3))), // Dirty
+            (ProcId(1), ProcOp::read(Addr(8))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[2].2.value, Some(Word(3)));
         assert!(stats.sources.flushes >= 1);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(2)), S::Shared);
@@ -303,15 +287,12 @@ mod tests {
         let config =
             SystemConfig::new(2).with_cache(CacheConfig::fully_associative(1, 4).unwrap());
         let mut s = System::new(Firefly, config).unwrap();
-        s.run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(4))), // evict C1's copy
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-            ],
-            10_000,
-        )
+        s.run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(4))), // evict C1's copy
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+        ]), 10_000)
         .unwrap();
         // Firefly lands Exclusive (clean) — memory was written through.
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Exclusive);

@@ -249,7 +249,7 @@ impl Protocol for Goodman {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Goodman> {
         System::new(Goodman, SystemConfig::new(n)).unwrap()
@@ -258,17 +258,13 @@ mod tests {
     #[test]
     fn write_once_state_progression() {
         let mut s = sys(1);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))), // write-through -> Reserved
-                    (ProcId(0), ProcOp::write(Addr(0), Word(2))), // local -> Dirty
-                    (ProcId(0), ProcOp::write(Addr(0), Word(3))), // local
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(0))),
+                (ProcId(0), ProcOp::write(Addr(0), Word(1))), // write-through -> Reserved
+                (ProcId(0), ProcOp::write(Addr(0), Word(2))), // local -> Dirty
+                (ProcId(0), ProcOp::write(Addr(0), Word(3))), // local
+            ]), 10_000).unwrap().stats;
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Dirty);
         // Exactly one write-through: the block was written once to memory.
         assert_eq!(stats.bus.count("write-word-inv"), 1);
@@ -277,14 +273,11 @@ mod tests {
     #[test]
     fn first_write_invalidates_sharers() {
         let mut s = sys(2);
-        s.run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(0))),
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-            ],
-            10_000,
-        )
+        s.run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+        ]), 10_000)
         .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Reserved);
         assert_eq!(s.state_of(CacheId(1), BlockAddr(0)), S::Invalid);
@@ -293,9 +286,8 @@ mod tests {
     #[test]
     fn write_miss_takes_two_transactions() {
         let mut s = sys(1);
-        let (_, stats) = s
-            .run_script(vec![(ProcId(0), ProcOp::write(Addr(4), Word(9)))], 10_000)
-            .unwrap();
+        let script = vec![(ProcId(0), ProcOp::write(Addr(4), Word(9)))];
+        let stats = s.run(&mut ScriptWorkload::new(script), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("fetch-read"), 1);
         assert_eq!(stats.bus.count("write-word-inv"), 1);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(1)), S::Reserved);
@@ -304,16 +296,12 @@ mod tests {
     #[test]
     fn dirty_block_flushed_on_transfer_arrives_clean() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(2))), // Dirty
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(2))), // Dirty
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[2].2.value, Some(Word(2)));
         // Both ends Valid (clean), block flushed to memory during transfer.
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Valid);
@@ -325,15 +313,11 @@ mod tests {
     #[test]
     fn reserved_block_serviced_by_memory() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(5))), // -> Reserved (memory current)
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(5))), // -> Reserved (memory current)
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(5)));
         // Memory supplied the data (Reserved is not a source).
         assert_eq!(stats.sources.from_cache, 0);
@@ -355,18 +339,14 @@ mod tests {
     #[test]
     fn coherence_across_three_caches() {
         let mut s = sys(3);
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(8), Word(1))),
-                    (ProcId(0), ProcOp::write(Addr(8), Word(2))),
-                    (ProcId(1), ProcOp::read(Addr(8))),
-                    (ProcId(2), ProcOp::write(Addr(8), Word(3))),
-                    (ProcId(0), ProcOp::read(Addr(8))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(8), Word(1))),
+            (ProcId(0), ProcOp::write(Addr(8), Word(2))),
+            (ProcId(1), ProcOp::read(Addr(8))),
+            (ProcId(2), ProcOp::write(Addr(8), Word(3))),
+            (ProcId(0), ProcOp::read(Addr(8))),
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[2].2.value, Some(Word(2)));
         assert_eq!(script.results()[4].2.value, Some(Word(3)));
     }

@@ -243,7 +243,7 @@ impl Protocol for Illinois {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Illinois> {
         System::new(Illinois, SystemConfig::new(n)).unwrap()
@@ -252,12 +252,11 @@ mod tests {
     #[test]
     fn lone_read_miss_fetches_exclusive() {
         let mut s = sys(2);
-        s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+        s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]), 10_000).unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Exclusive);
         // Subsequent write is silent (no bus).
-        let (_, stats) = s
-            .run_script(vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))], 10_000)
-            .unwrap();
+        let script = vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))];
+        let stats = s.run(&mut ScriptWorkload::new(script), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("invalidate"), 0);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Dirty);
     }
@@ -265,12 +264,8 @@ mod tests {
     #[test]
     fn second_reader_gets_shared_from_cache_not_memory() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![(ProcId(0), ProcOp::read(Addr(0))), (ProcId(1), ProcOp::read(Addr(0)))],
-                10_000,
-            )
-            .unwrap();
+        let script = vec![(ProcId(0), ProcOp::read(Addr(0))), (ProcId(1), ProcOp::read(Addr(0)))];
+        let stats = s.run(&mut ScriptWorkload::new(script), 10_000).unwrap().stats;
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Shared);
         assert_eq!(s.state_of(CacheId(1), BlockAddr(0)), S::Shared);
         // Illinois fetches from a cache whenever one has the block.
@@ -281,15 +276,11 @@ mod tests {
     #[test]
     fn dirty_transfer_flushes_to_memory() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(4), Word(7))),
-                    (ProcId(1), ProcOp::read(Addr(4))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(4), Word(7))),
+            (ProcId(1), ProcOp::read(Addr(4))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(7)));
         assert!(stats.sources.flushes >= 1);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(1)), S::Shared);
@@ -298,15 +289,12 @@ mod tests {
     #[test]
     fn write_to_shared_invalidates_others() {
         let mut s = sys(3);
-        s.run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(8))),
-                (ProcId(1), ProcOp::read(Addr(8))),
-                (ProcId(2), ProcOp::read(Addr(8))),
-                (ProcId(1), ProcOp::write(Addr(8), Word(2))),
-            ],
-            10_000,
-        )
+        s.run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(8))),
+            (ProcId(1), ProcOp::read(Addr(8))),
+            (ProcId(2), ProcOp::read(Addr(8))),
+            (ProcId(1), ProcOp::write(Addr(8), Word(2))),
+        ]), 10_000)
         .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(2)), S::Invalid);
         assert_eq!(s.state_of(CacheId(1), BlockAddr(2)), S::Dirty);
@@ -320,16 +308,12 @@ mod tests {
         let timing = TimingConfig { source_arbitration: 5, ..Default::default() };
         let config = SystemConfig::new(3).with_timing(timing);
         let mut s = System::new(Illinois, config).unwrap();
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(2), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(2), ProcOp::read(Addr(0))),
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         let single_source = script.results()[1].2.latency; // one potential source
         let multi_source = script.results()[2].2.latency; // two potential sources
         assert_eq!(multi_source, single_source + 5);
@@ -338,16 +322,12 @@ mod tests {
     #[test]
     fn rmw_acquires_sole_access() {
         let mut s = sys(2);
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::rmw(Addr(0), Word(1))),
-                    (ProcId(1), ProcOp::rmw(Addr(0), Word(1))),
-                    (ProcId(0), ProcOp::rmw(Addr(0), Word(1))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::rmw(Addr(0), Word(1))),
+            (ProcId(1), ProcOp::rmw(Addr(0), Word(1))),
+            (ProcId(0), ProcOp::rmw(Addr(0), Word(1))),
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[0].2.value, Some(Word(0)));
         assert_eq!(script.results()[1].2.value, Some(Word(1)));
         assert_eq!(script.results()[2].2.value, Some(Word(1)));

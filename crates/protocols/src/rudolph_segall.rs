@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use mcs_cache::CacheConfig;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     /// One-word blocks, as the scheme requires.
     fn sys(n: usize) -> System<RudolphSegall> {
@@ -269,18 +269,14 @@ mod tests {
     #[test]
     fn first_write_goes_through_second_invalidates() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))), // write-through, updates C1
-                    (ProcId(0), ProcOp::write(Addr(0), Word(2))), // invalidation, goes write-in
-                    (ProcId(0), ProcOp::write(Addr(0), Word(3))), // local
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(0))),
+                (ProcId(1), ProcOp::read(Addr(0))),
+                (ProcId(0), ProcOp::write(Addr(0), Word(1))), // write-through, updates C1
+                (ProcId(0), ProcOp::write(Addr(0), Word(2))), // invalidation, goes write-in
+                (ProcId(0), ProcOp::write(Addr(0), Word(3))), // local
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("write-word-upd-all"), 1);
         assert_eq!(stats.bus.count("invalidate"), 1);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Dirty);
@@ -290,17 +286,13 @@ mod tests {
     #[test]
     fn update_refreshes_other_copies_in_place() {
         let mut s = sys(2);
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(5))),
-                    (ProcId(1), ProcOp::read(Addr(0))), // HIT with the new value
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(5))),
+            (ProcId(1), ProcOp::read(Addr(0))), // HIT with the new value
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         assert!(script.results()[3].2.hit);
         assert_eq!(script.results()[3].2.value, Some(Word(5)));
     }
@@ -310,20 +302,16 @@ mod tests {
         // This is the scheme's signature move (Section E.4): after an
         // invalidation, a later write-through brings the dead copy back.
         let mut s = sys(2);
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))), // through (updates C1)
-                    (ProcId(0), ProcOp::write(Addr(0), Word(2))), // invalidates C1
-                    (ProcId(1), ProcOp::read(Addr(0))),           // miss: refetch -> Shared
-                    (ProcId(0), ProcOp::write(Addr(0), Word(3))), // through again
-                    (ProcId(1), ProcOp::read(Addr(0))),           // hit, updated in place
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(1), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))), // through (updates C1)
+            (ProcId(0), ProcOp::write(Addr(0), Word(2))), // invalidates C1
+            (ProcId(1), ProcOp::read(Addr(0))),           // miss: refetch -> Shared
+            (ProcId(0), ProcOp::write(Addr(0), Word(3))), // through again
+            (ProcId(1), ProcOp::read(Addr(0))),           // hit, updated in place
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(s.state_of(CacheId(1), BlockAddr(0)), S::Shared);
         assert!(script.results()[6].2.hit);
         assert_eq!(script.results()[6].2.value, Some(Word(3)));
@@ -334,20 +322,16 @@ mod tests {
         let mut s = sys(3);
         // C2's copy gets invalidated, then revalidated by C0's next
         // write-through (C2 never touches the bus again).
-        let (script, stats_before) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(2), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))), // through
-                    (ProcId(0), ProcOp::write(Addr(0), Word(2))), // invalidates C2
-                    (ProcId(1), ProcOp::read(Addr(0))),           // external access: C0 D -> S
-                    (ProcId(0), ProcOp::write(Addr(0), Word(7))), // through, updates ALL copies
-                    (ProcId(2), ProcOp::read(Addr(0))),           // HIT: copy was revalidated
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(2), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))), // through
+            (ProcId(0), ProcOp::write(Addr(0), Word(2))), // invalidates C2
+            (ProcId(1), ProcOp::read(Addr(0))),           // external access: C0 D -> S
+            (ProcId(0), ProcOp::write(Addr(0), Word(7))), // through, updates ALL copies
+            (ProcId(2), ProcOp::read(Addr(0))),           // HIT: copy was revalidated
+        ]);
+        let stats_before = s.run(&mut script, 10_000).unwrap().stats;
         let fetches_before = stats_before.sources.fetches;
         assert!(script.results()[6].2.hit, "revalidated copy must hit");
         assert_eq!(script.results()[6].2.value, Some(Word(7)));
@@ -358,15 +342,11 @@ mod tests {
     #[test]
     fn rmw_holds_the_memory_module() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::rmw(Addr(4), Word(1))),
-                    (ProcId(1), ProcOp::rmw(Addr(4), Word(1))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::rmw(Addr(4), Word(1))),
+            (ProcId(1), ProcOp::rmw(Addr(4), Word(1))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[0].2.value, Some(Word(0)));
         assert_eq!(script.results()[1].2.value, Some(Word(1)));
         assert_eq!(stats.bus.count("memory-rmw"), 2);

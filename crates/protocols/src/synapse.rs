@@ -208,7 +208,7 @@ impl Protocol for Synapse {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Synapse> {
         System::new(Synapse, SystemConfig::new(n)).unwrap()
@@ -217,15 +217,11 @@ mod tests {
     #[test]
     fn read_to_dirty_block_is_rejected_then_retried() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(9))), // Dirty in C0
-                    (ProcId(1), ProcOp::read(Addr(0))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(9))), // Dirty in C0
+            (ProcId(1), ProcOp::read(Addr(0))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         // The read eventually succeeds with the flushed value...
         assert_eq!(script.results()[1].2.value, Some(Word(9)));
         // ...but it took a rejected transaction plus a retry.
@@ -240,15 +236,11 @@ mod tests {
     #[test]
     fn write_request_supplied_cache_to_cache_without_flush() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(3))),
-                    (ProcId(1), ProcOp::write(Addr(0), Word(4))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(3))),
+            (ProcId(1), ProcOp::write(Addr(0), Word(4))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.retries, 0);
         assert_eq!(stats.sources.from_cache, 1);
         // No flush on the write-request transfer; ownership moved.
@@ -259,16 +251,12 @@ mod tests {
     #[test]
     fn invalidate_signal_upgrades_in_one_cycle() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(4))),
-                    (ProcId(1), ProcOp::read(Addr(4))),
-                    (ProcId(0), ProcOp::write(Addr(4), Word(1))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(4))),
+                (ProcId(1), ProcOp::read(Addr(4))),
+                (ProcId(0), ProcOp::write(Addr(4), Word(1))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("invalidate"), 1);
         assert_eq!(stats.bus.count("write-word-inv"), 0); // no write-through
         assert_eq!(s.state_of(CacheId(1), BlockAddr(1)), S::Invalid);
@@ -278,15 +266,11 @@ mod tests {
     #[test]
     fn rmw_fetches_for_sole_access() {
         let mut s = sys(2);
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::rmw(Addr(8), Word(1))),
-                    (ProcId(1), ProcOp::rmw(Addr(8), Word(1))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::rmw(Addr(8), Word(1))),
+            (ProcId(1), ProcOp::rmw(Addr(8), Word(1))),
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[0].2.value, Some(Word(0)));
         assert_eq!(script.results()[1].2.value, Some(Word(1)));
         assert_eq!(s.state_of(CacheId(1), BlockAddr(2)), S::Dirty);
@@ -296,11 +280,12 @@ mod tests {
     #[test]
     fn no_clean_exclusive_state_on_read_miss() {
         let mut s = sys(2);
-        s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+        s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]), 10_000).unwrap();
         // Sole reader still only gets Valid, not an exclusive state —
         // a subsequent write needs the bus.
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Valid);
-        let (_, stats) = s.run_script(vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))], 10_000).unwrap();
+        let script = vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))];
+        let stats = s.run(&mut ScriptWorkload::new(script), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("invalidate"), 1);
     }
 

@@ -140,7 +140,7 @@ impl Protocol for ClassicWriteThrough {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<ClassicWriteThrough> {
         System::new(ClassicWriteThrough, SystemConfig::new(n)).unwrap()
@@ -149,17 +149,13 @@ mod tests {
     #[test]
     fn every_write_reaches_the_bus() {
         let mut s = sys(1);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(2))),
-                    (ProcId(0), ProcOp::write(Addr(0), Word(3))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(0))),
+                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+                (ProcId(0), ProcOp::write(Addr(0), Word(2))),
+                (ProcId(0), ProcOp::write(Addr(0), Word(3))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("write-word-inv"), 3);
         // The copy stays valid through its own writes.
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Valid);
@@ -168,15 +164,11 @@ mod tests {
     #[test]
     fn remote_write_invalidates_copy() {
         let mut s = sys(2);
-        let (_, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(0))),
-                    (ProcId(1), ProcOp::write(Addr(0), Word(9))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let stats = s
+            .run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::read(Addr(0))),
+                (ProcId(1), ProcOp::write(Addr(0), Word(9))),
+            ]), 10_000).unwrap().stats;
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Invalid);
         assert_eq!(stats.bus.invalidations, 1);
     }
@@ -184,31 +176,23 @@ mod tests {
     #[test]
     fn reads_after_remote_write_see_latest() {
         let mut s = sys(2);
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read(Addr(4))),
-                    (ProcId(1), ProcOp::write(Addr(4), Word(7))),
-                    (ProcId(0), ProcOp::read(Addr(4))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(4))),
+            (ProcId(1), ProcOp::write(Addr(4), Word(7))),
+            (ProcId(0), ProcOp::read(Addr(4))),
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[2].2.value, Some(Word(7)));
     }
 
     #[test]
     fn rmw_serializes_at_memory() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::rmw(Addr(8), Word(1))), // test-and-set: old 0
-                    (ProcId(1), ProcOp::rmw(Addr(8), Word(1))), // old 1 -> busy
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::rmw(Addr(8), Word(1))), // test-and-set: old 0
+            (ProcId(1), ProcOp::rmw(Addr(8), Word(1))), // old 1 -> busy
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[0].2.value, Some(Word(0)));
         assert_eq!(script.results()[1].2.value, Some(Word(1)));
         assert_eq!(stats.bus.count("memory-rmw"), 2);
@@ -217,10 +201,12 @@ mod tests {
     #[test]
     fn no_write_allocate_on_miss() {
         let mut s = sys(1);
-        s.run_script(vec![(ProcId(0), ProcOp::write(Addr(12), Word(5)))], 10_000).unwrap();
+        s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::write(Addr(12), Word(5)))]), 10_000)
+            .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(3)), S::Invalid);
         // Value still readable (from memory).
-        let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(12)))], 10_000).unwrap();
+        let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(12)))]);
+        s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[0].2.value, Some(Word(5)));
     }
 

@@ -232,7 +232,7 @@ impl Protocol for Yen {
 mod tests {
     use super::*;
     use mcs_model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-    use mcs_sim::{System, SystemConfig};
+    use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
     fn sys(n: usize) -> System<Yen> {
         System::new(Yen, SystemConfig::new(n)).unwrap()
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn plain_read_miss_is_shared_not_exclusive() {
         let mut s = sys(1);
-        s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+        s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]), 10_000).unwrap();
         // Static determination: a plain read never gets write privilege.
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Valid);
     }
@@ -249,11 +249,13 @@ mod tests {
     #[test]
     fn read_for_write_miss_gets_write_clean() {
         let mut s = sys(1);
-        s.run_script(vec![(ProcId(0), ProcOp::read_for_write(Addr(0)))], 10_000).unwrap();
+        s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::read_for_write(Addr(0)))]), 10_000)
+            .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::WriteClean);
         // Subsequent write is silent (no additional bus transactions).
         let txns_before = s.stats().bus.txns;
-        s.run_script(vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))], 10_000).unwrap();
+        s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))]), 10_000)
+            .unwrap();
         assert_eq!(s.stats().bus.txns, txns_before);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Dirty);
     }
@@ -261,13 +263,10 @@ mod tests {
     #[test]
     fn read_for_write_only_affects_misses() {
         let mut s = sys(2);
-        s.run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(0), ProcOp::read_for_write(Addr(0))), // hit: no effect
-            ],
-            10_000,
-        )
+        s.run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),
+            (ProcId(0), ProcOp::read_for_write(Addr(0))), // hit: no effect
+        ]), 10_000)
         .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Valid);
     }
@@ -275,15 +274,11 @@ mod tests {
     #[test]
     fn write_clean_not_source_memory_supplies() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::read_for_write(Addr(4))),
-                    (ProcId(1), ProcOp::read(Addr(4))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read_for_write(Addr(4))),
+            (ProcId(1), ProcOp::read(Addr(4))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(0)));
         assert_eq!(stats.sources.from_cache, 0);
         assert_eq!(stats.sources.from_memory, 2);
@@ -293,15 +288,11 @@ mod tests {
     #[test]
     fn dirty_block_supplied_and_flushed() {
         let mut s = sys(2);
-        let (script, stats) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(8), Word(6))),
-                    (ProcId(1), ProcOp::read(Addr(8))),
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(8), Word(6))),
+            (ProcId(1), ProcOp::read(Addr(8))),
+        ]);
+        let stats = s.run(&mut script, 10_000).unwrap().stats;
         assert_eq!(script.results()[1].2.value, Some(Word(6)));
         assert_eq!(stats.sources.from_cache, 1);
         assert!(stats.sources.flushes >= 1);

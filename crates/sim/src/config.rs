@@ -61,6 +61,12 @@ impl SystemConfig {
         }
     }
 
+    /// Sets the number of processors.
+    pub fn with_processors(mut self, processors: usize) -> Self {
+        self.processors = processors;
+        self
+    }
+
     /// Sets the per-processor cache geometry.
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
@@ -216,7 +222,8 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = SystemConfig::new(8)
+        let c = SystemConfig::new(2)
+            .with_processors(8)
             .with_trace(true)
             .with_oracle(false)
             .with_retry_bound(5)

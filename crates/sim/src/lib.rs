@@ -18,14 +18,16 @@
 //! from `mcs-protocols`; see that crate):
 //!
 //! ```ignore
-//! use mcs_sim::{System, SystemConfig};
+//! use mcs_sim::{ScriptWorkload, System, SystemConfig};
 //! use mcs_model::{ProcId, ProcOp, Addr, Word};
 //!
 //! let mut sys = System::new(protocol, SystemConfig::new(2))?;
-//! let (script, stats) = sys.run_script(vec![
+//! let mut script = ScriptWorkload::new(vec![
 //!     (ProcId(0), ProcOp::write(Addr(0), Word(1))),
 //!     (ProcId(1), ProcOp::read(Addr(0))),
-//! ], 10_000)?;
+//! ]);
+//! let report = sys.run(&mut script, 10_000)?;
+//! assert!(report.completed);
 //! assert_eq!(script.results()[1].2.value, Some(Word(1)));
 //! ```
 

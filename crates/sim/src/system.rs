@@ -81,7 +81,7 @@ use crate::error::{OracleViolation, SimError};
 use crate::memory::MainMemory;
 use crate::oracle::Oracle;
 use crate::sched::{Sched, Set};
-use crate::workload::{AccessResult, ScriptWorkload, WaitBehavior, WorkItem, Workload};
+use crate::workload::{AccessResult, WaitBehavior, WorkItem, Workload};
 use mcs_cache::{BusyWaitRegister, Cache, DirectoryModel, EvictedLine};
 use mcs_faults::{FaultState, FaultStats, Watchdog, WatchdogReport, WatchdogTrip};
 use mcs_obs::{EventSink, IntervalSampler, LatencyHists};
@@ -295,7 +295,8 @@ enum TxnOut {
     InstalledRetry { duration: u64 },
 }
 
-/// Outcome of a successful [`System::run`] call.
+/// Outcome of a [`System::run`] call that ended without an error: either
+/// every processor finished or the cycle ceiling cut the run off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Accumulated statistics (also available via [`System::stats`]).
@@ -572,8 +573,11 @@ impl<P: Protocol> System<P> {
     /// completed, and the fault/watchdog summaries when those layers are
     /// on.
     ///
-    /// This is the primary entry point; [`System::run_workload`] is a
-    /// stats-only convenience wrapper over it.
+    /// This is the only way to run a system. A run cut off at `max_cycles`
+    /// still returns `Ok`, with [`RunReport::completed`] false, so a caller
+    /// that expects the workload to finish must check it. Scripts run as a
+    /// [`ScriptWorkload`](crate::ScriptWorkload), which keeps each
+    /// operation's result.
     ///
     /// # Errors
     ///
@@ -598,21 +602,6 @@ impl<P: Protocol> System<P> {
         })
     }
 
-    /// Runs `workload` until every processor reports
-    /// [`WorkItem::Done`](crate::WorkItem::Done) or `max_cycles` elapse,
-    /// returning the accumulated statistics.
-    ///
-    /// # Errors
-    ///
-    /// As for [`System::run`].
-    pub fn run_workload<W: Workload>(
-        &mut self,
-        mut workload: W,
-        max_cycles: u64,
-    ) -> Result<Stats, SimError> {
-        Ok(self.run(&mut workload, max_cycles)?.stats)
-    }
-
     /// Injected-fault counters so far, when the fault layer is on.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         self.faults.as_ref().map(|f| f.stats())
@@ -621,25 +610,6 @@ impl<P: Protocol> System<P> {
     /// The watchdog's progress-check summary, when the watchdog is armed.
     pub fn watchdog_report(&self) -> Option<WatchdogReport> {
         self.watchdog.as_ref().map(|w| w.report())
-    }
-
-    /// Convenience: runs a [`ScriptWorkload`] to completion and returns it
-    /// (with its recorded results) alongside the statistics.
-    ///
-    /// # Errors
-    ///
-    /// As for [`System::run_workload`].
-    pub fn run_script(
-        &mut self,
-        script: Vec<(ProcId, ProcOp)>,
-        max_cycles: u64,
-    ) -> Result<(ScriptWorkload, Stats), SimError> {
-        let mut w = ScriptWorkload::new(script);
-        let result = self.run_loop(&mut w, max_cycles);
-        self.sync_directory_stats();
-        result?;
-        let stats = self.stats.clone();
-        Ok((w, stats))
     }
 
     /// The main time loop: step the phase machines, then advance `now` —

@@ -80,20 +80,6 @@ pub trait Workload {
     }
 }
 
-impl<W: Workload + ?Sized> Workload for &mut W {
-    fn next(&mut self, proc: ProcId, now: u64) -> WorkItem {
-        (**self).next(proc, now)
-    }
-
-    fn complete(&mut self, proc: ProcId, op: &ProcOp, result: &AccessResult, now: u64) {
-        (**self).complete(proc, op, result, now)
-    }
-
-    fn on_lock_wait(&mut self, proc: ProcId, block: BlockAddr, now: u64) -> WaitBehavior {
-        (**self).on_lock_wait(proc, block, now)
-    }
-}
-
 impl<W: Workload + ?Sized> Workload for Box<W> {
     fn next(&mut self, proc: ProcId, now: u64) -> WorkItem {
         (**self).next(proc, now)

@@ -10,7 +10,7 @@ use mcs_model::{
     Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
     StateDescriptor, Word,
 };
-use mcs_sim::{System, SystemConfig};
+use mcs_sim::{ScriptWorkload, System, SystemConfig};
 use std::fmt;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,15 +170,11 @@ fn sys(procs: usize) -> System<MiniMsi> {
 #[test]
 fn write_then_remote_read_sees_value() {
     let mut s = sys(2);
-    let (script, stats) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::write(Addr(0), Word(7))),
-                (ProcId(1), ProcOp::read(Addr(0))),
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::write(Addr(0), Word(7))),
+        (ProcId(1), ProcOp::read(Addr(0))),
+    ]);
+    let stats = s.run(&mut script, 10_000).unwrap().stats;
     assert_eq!(script.results()[1].2.value, Some(Word(7)));
     // The dirty block was supplied cache-to-cache and flushed.
     assert_eq!(stats.sources.from_cache, 1);
@@ -190,16 +186,12 @@ fn write_then_remote_read_sees_value() {
 #[test]
 fn read_sharing_generates_no_invalidations() {
     let mut s = sys(3);
-    let (_, stats) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(4))),
-                (ProcId(1), ProcOp::read(Addr(4))),
-                (ProcId(2), ProcOp::read(Addr(4))),
-            ],
-            10_000,
-        )
-        .unwrap();
+    let stats = s
+        .run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(4))),
+            (ProcId(1), ProcOp::read(Addr(4))),
+            (ProcId(2), ProcOp::read(Addr(4))),
+        ]), 10_000).unwrap().stats;
     assert_eq!(stats.bus.invalidations, 0);
     assert_eq!(stats.sources.from_memory, 3);
     for c in 0..3 {
@@ -210,16 +202,12 @@ fn read_sharing_generates_no_invalidations() {
 #[test]
 fn write_hit_on_shared_invalidates_others() {
     let mut s = sys(2);
-    let (_, stats) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(8))),
-                (ProcId(1), ProcOp::read(Addr(8))),
-                (ProcId(0), ProcOp::write(Addr(8), Word(3))),
-            ],
-            10_000,
-        )
-        .unwrap();
+    let stats = s
+        .run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(8))),
+            (ProcId(1), ProcOp::read(Addr(8))),
+            (ProcId(0), ProcOp::write(Addr(8), Word(3))),
+        ]), 10_000).unwrap().stats;
     assert_eq!(s.state_of(CacheId(0), BlockAddr(2)), Msi::M);
     assert_eq!(s.state_of(CacheId(1), BlockAddr(2)), Msi::I);
     assert_eq!(stats.bus.invalidations, 1);
@@ -229,16 +217,12 @@ fn write_hit_on_shared_invalidates_others() {
 #[test]
 fn rmw_returns_old_value_atomically() {
     let mut s = sys(2);
-    let (script, _) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::write(Addr(0), Word(5))),
-                (ProcId(1), ProcOp::rmw(Addr(0), Word(1))),
-                (ProcId(0), ProcOp::read(Addr(0))),
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::write(Addr(0), Word(5))),
+        (ProcId(1), ProcOp::rmw(Addr(0), Word(1))),
+        (ProcId(0), ProcOp::read(Addr(0))),
+    ]);
+    s.run(&mut script, 10_000).unwrap();
     assert_eq!(script.results()[1].2.value, Some(Word(5))); // old value
     assert_eq!(script.results()[2].2.value, Some(Word(1))); // new value visible
 }
@@ -249,17 +233,13 @@ fn eviction_writes_back_dirty_blocks() {
     let config = SystemConfig::new(1)
         .with_cache(CacheConfig::fully_associative(2, 4).unwrap());
     let mut s = System::new(MiniMsi, config).unwrap();
-    let (script, stats) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::write(Addr(0), Word(11))),  // block 0
-                (ProcId(0), ProcOp::write(Addr(4), Word(22))),  // block 1
-                (ProcId(0), ProcOp::write(Addr(8), Word(33))),  // block 2, evicts block 0
-                (ProcId(0), ProcOp::read(Addr(0))),             // re-fetch block 0 from memory
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::write(Addr(0), Word(11))),  // block 0
+        (ProcId(0), ProcOp::write(Addr(4), Word(22))),  // block 1
+        (ProcId(0), ProcOp::write(Addr(8), Word(33))),  // block 2, evicts block 0
+        (ProcId(0), ProcOp::read(Addr(0))),             // re-fetch block 0 from memory
+    ]);
+    let stats = s.run(&mut script, 10_000).unwrap().stats;
     assert!(stats.sources.flushes >= 1);
     assert_eq!(script.results()[3].2.value, Some(Word(11)));
 }
@@ -267,16 +247,12 @@ fn eviction_writes_back_dirty_blocks() {
 #[test]
 fn write_no_fetch_claims_whole_block() {
     let mut s = sys(2);
-    let (script, stats) = s
-        .run_script(
-            vec![
-                (ProcId(1), ProcOp::read(Addr(12))), // someone shares the block
-                (ProcId(0), ProcOp::write_no_fetch(Addr(12), Word(9))),
-                (ProcId(0), ProcOp::read(Addr(15))), // any word of block 3 reads 9
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(1), ProcOp::read(Addr(12))), // someone shares the block
+        (ProcId(0), ProcOp::write_no_fetch(Addr(12), Word(9))),
+        (ProcId(0), ProcOp::read(Addr(15))), // any word of block 3 reads 9
+    ]);
+    let stats = s.run(&mut script, 10_000).unwrap().stats;
     assert_eq!(script.results()[2].2.value, Some(Word(9)));
     assert_eq!(s.state_of(CacheId(1), BlockAddr(3)), Msi::I);
     assert_eq!(stats.bus.count("claim-no-fetch"), 1);
@@ -287,18 +263,20 @@ fn write_no_fetch_claims_whole_block() {
 #[test]
 fn io_input_invalidates_and_updates_memory() {
     let mut s = sys(2);
-    s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]), 10_000).unwrap();
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), Msi::S);
     s.io_input(BlockAddr(0), &[Word(1), Word(2), Word(3), Word(4)]).unwrap();
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), Msi::I);
-    let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(2)))], 10_000).unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(2)))]);
+    s.run(&mut script, 10_000).unwrap();
     assert_eq!(script.results()[0].2.value, Some(Word(3)));
 }
 
 #[test]
 fn io_output_reads_latest_version_from_cache() {
     let mut s = sys(1);
-    s.run_script(vec![(ProcId(0), ProcOp::write(Addr(1), Word(77)))], 10_000).unwrap();
+    s.run(&mut ScriptWorkload::new(vec![(ProcId(0), ProcOp::write(Addr(1), Word(77)))]), 10_000)
+        .unwrap();
     let data = s.io_output(BlockAddr(0), false).unwrap();
     assert_eq!(data[1], Word(77));
     // Non-paging output leaves the copy in place.
@@ -316,25 +294,21 @@ fn determinism_same_script_same_stats() {
         (ProcId(2), ProcOp::write(Addr(0), Word(2))),
         (ProcId(0), ProcOp::read(Addr(0))),
     ];
-    let (_, a) = sys(3).run_script(script.clone(), 10_000).unwrap();
-    let (_, b) = sys(3).run_script(script, 10_000).unwrap();
+    let a = sys(3).run(&mut ScriptWorkload::new(script.clone()), 10_000).unwrap().stats;
+    let b = sys(3).run(&mut ScriptWorkload::new(script), 10_000).unwrap().stats;
     assert_eq!(a, b);
 }
 
 #[test]
 fn stats_account_hits_and_misses() {
     let mut s = sys(1);
-    let (_, stats) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),  // miss
-                (ProcId(0), ProcOp::read(Addr(1))),  // hit (same block)
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))), // miss (upgrade)
-                (ProcId(0), ProcOp::write(Addr(1), Word(2))), // hit
-            ],
-            10_000,
-        )
-        .unwrap();
+    let stats = s
+        .run(&mut ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::read(Addr(0))),  // miss
+            (ProcId(0), ProcOp::read(Addr(1))),  // hit (same block)
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))), // miss (upgrade)
+            (ProcId(0), ProcOp::write(Addr(1), Word(2))), // hit
+        ]), 10_000).unwrap().stats;
     assert_eq!(stats.total_refs(), 4);
     assert_eq!(stats.per_proc[0].hits, 2);
     assert_eq!(stats.per_proc[0].misses, 2);
@@ -345,11 +319,8 @@ fn stats_account_hits_and_misses() {
 #[test]
 fn trace_records_bus_and_state_changes() {
     let mut s = sys(2);
-    s.run_script(
-        vec![(ProcId(0), ProcOp::write(Addr(0), Word(1))), (ProcId(1), ProcOp::read(Addr(0)))],
-        10_000,
-    )
-    .unwrap();
+    let script = vec![(ProcId(0), ProcOp::write(Addr(0), Word(1))), (ProcId(1), ProcOp::read(Addr(0)))];
+    s.run(&mut ScriptWorkload::new(script), 10_000).unwrap();
     let rendered = s.trace().render();
     assert!(rendered.contains("fetch-write"));
     assert!(rendered.contains("fetch-read"));
@@ -378,7 +349,7 @@ fn random_soak_against_oracle() {
             serial += 1;
             script.push((p, op));
         }
-        // The oracle inside run_script validates every read.
-        sys(procs).run_script(script, 200_000).expect("oracle must hold");
+        // The oracle inside `run` validates every read.
+        sys(procs).run(&mut ScriptWorkload::new(script), 200_000).expect("oracle must hold");
     }
 }

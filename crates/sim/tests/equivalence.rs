@@ -16,7 +16,7 @@ use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::{Event, Stats};
 use mcs_sim::faults::{FaultPlan, WatchdogConfig};
 use mcs_sim::obs::{LatencyHists, Window};
-use mcs_sim::{EngineMode, System, SystemConfig, Workload};
+use mcs_sim::{EngineMode, ScriptWorkload, System, SystemConfig, Workload};
 use mcs_sync::LockSchemeKind;
 use mcs_workloads::{
     CriticalSectionWorkload, ProducerConsumerWorkload, RandomSharingConfig, RandomSharingWorkload,
@@ -284,13 +284,15 @@ fn deadline_cutoff_equivalent() {
             with_protocol!(kind, p => {
                 let cfg = SystemConfig::new(3).with_cache(cache).with_engine(mode);
                 let mut sys = System::new(p, cfg).unwrap();
-                sys.run_workload(&mut w, 20_000).unwrap()
+                sys.run(&mut w, 20_000).unwrap()
             })
         };
         let reference = run(EngineMode::CycleAccurate);
         let event = run(EngineMode::EventDriven);
-        assert_eq!(reference.cycles, 20_000, "{kind}: run must hit the deadline");
-        assert_eq!(reference, event, "{kind}: deadline-bounded stats diverged");
+        assert!(!reference.completed, "{kind}: the deadline must cut the cycle-accurate run off");
+        assert!(!event.completed, "{kind}: the deadline must cut the event-driven run off");
+        assert_eq!(reference.stats.cycles, 20_000, "{kind}: run must hit the deadline");
+        assert_eq!(reference, event, "{kind}: deadline-bounded runs diverged");
     }
 }
 
@@ -347,7 +349,7 @@ fn event_mode_skips_cycles_not_behaviour() {
     let run = |mode| {
         let cfg = SystemConfig::new(2).with_engine(mode);
         let mut sys = System::new(mcs_core::BitarDespain, cfg).unwrap();
-        sys.run_script(script.clone(), 100_000).unwrap().1
+        sys.run(&mut ScriptWorkload::new(script.clone()), 100_000).unwrap().stats
     };
     assert_eq!(run(EngineMode::CycleAccurate), run(EngineMode::EventDriven));
 }

@@ -26,7 +26,7 @@ use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::{Addr, BlockAddr, CacheId, DirectoryStats, ProcId, ProcOp, Stats, Word};
 use mcs_sim::faults::{FaultPlan, FaultStats};
-use mcs_sim::{System, SystemConfig, Workload};
+use mcs_sim::{ScriptWorkload, System, SystemConfig, Workload};
 use mcs_sync::LockSchemeKind;
 use mcs_workloads::{
     CriticalSectionWorkload, ProducerConsumerWorkload, RandomSharingConfig, RandomSharingWorkload,
@@ -166,7 +166,8 @@ fn io_script() -> String {
             let addr = |b: u64| Addr(b * words as u64);
             let script = |sys: &mut System<_>, ops: Vec<(usize, ProcOp)>| {
                 let ops = ops.into_iter().map(|(i, op)| (ProcId(i), op)).collect();
-                sys.run_script(ops, MAX_CYCLES).unwrap_or_else(|e| panic!("{kind}: {e}"));
+                sys.run(&mut ScriptWorkload::new(ops), MAX_CYCLES)
+                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
             };
             script(&mut sys, vec![
                 (0, ProcOp::read(addr(0))),

@@ -43,7 +43,7 @@ fn run<W: Workload>(
             .with_timeline(WINDOW);
         let mut sys = System::new(p, cfg).expect("valid system");
         let stats =
-            sys.run_workload(&mut w, MAX_CYCLES).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            sys.run(&mut w, MAX_CYCLES).unwrap_or_else(|e| panic!("{kind}: {e}")).stats;
         assert!(
             stats.cycles < MAX_CYCLES,
             "{kind}: workload must complete (miss-service reconciliation needs \

@@ -25,7 +25,7 @@
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::{Addr, BlockAddr, ProcId, ProcOp, Rng64, Word};
-use mcs_sim::{System, SystemConfig};
+use mcs_sim::{ScriptWorkload, System, SystemConfig};
 use mcs_sync::LockSchemeKind;
 use mcs_workloads::CriticalSectionWorkload;
 
@@ -71,7 +71,8 @@ fn run_and_check(kind: ProtocolKind, ops: &[(ProcId, ProcOp)], procs: usize) {
     with_protocol!(kind, p => {
         let cfg = SystemConfig::new(procs).with_cache(tiny_cache(kind));
         let mut sys = System::new(p, cfg).expect("valid system");
-        sys.run_script(ops.to_vec(), 2_000_000).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        sys.run(&mut ScriptWorkload::new(ops.to_vec()), 2_000_000)
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
         sys.assert_snoop_filter_exact();
     });
 }
@@ -113,7 +114,8 @@ fn run_io_rounds(procs: usize, rounds: &[IoRound]) {
             let cfg = SystemConfig::new(procs).with_cache(tiny_cache(kind));
             let mut sys = System::new(p, cfg).expect("valid system");
             for (round, (ops, word, io)) in rounds.iter().enumerate() {
-                sys.run_script(ops.clone(), 2_000_000).unwrap_or_else(|e| panic!("{kind}: {e}"));
+                sys.run(&mut ScriptWorkload::new(ops.clone()), 2_000_000)
+                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
                 let block = BlockAddr(word / words as u64);
                 let io_result = match io {
                     0 => sys.io_input(block, &vec![Word(1000 + round as u64); words]),
@@ -183,7 +185,7 @@ fn holder_bitmask_exact_under_lock_contention() {
         with_protocol!(kind, p => {
             let cfg = SystemConfig::new(4).with_cache(tiny_cache(kind));
             let mut sys = System::new(p, cfg).expect("valid system");
-            sys.run_workload(&mut w, 2_000_000).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            sys.run(&mut w, 2_000_000).unwrap_or_else(|e| panic!("{kind}: {e}"));
             sys.assert_snoop_filter_exact();
         });
     }

@@ -6,7 +6,7 @@ use mcs_cache::CacheConfig;
 use mcs_core::BitarDespain;
 use mcs_model::{Addr, ProcId, ProcOp, TimingConfig, Word};
 use mcs_protocols::{ClassicWriteThrough, Dragon, Goodman, Illinois, RudolphSegall};
-use mcs_sim::{System, SystemConfig};
+use mcs_sim::{ScriptWorkload, System, SystemConfig};
 
 const WORDS: usize = 4;
 
@@ -31,7 +31,8 @@ fn config(procs: usize) -> SystemConfig {
 #[test]
 fn memory_fetch_costs_arb_addr_mem_and_words() {
     let mut s = System::new(BitarDespain, config(1)).unwrap();
-    let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]);
+    s.run(&mut script, 10_000).unwrap();
     // arbitration(1) + address(1) + memory(4) + 4 words = 10.
     assert_eq!(script.results()[0].2.latency, 10);
 }
@@ -39,12 +40,9 @@ fn memory_fetch_costs_arb_addr_mem_and_words() {
 #[test]
 fn cache_to_cache_fetch_skips_memory_latency() {
     let mut s = System::new(BitarDespain, config(2)).unwrap();
-    let (script, _) = s
-        .run_script(
-            vec![(ProcId(0), ProcOp::read(Addr(0))), (ProcId(1), ProcOp::read(Addr(0)))],
-            10_000,
-        )
-        .unwrap();
+    let mut script =
+        ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0))), (ProcId(1), ProcOp::read(Addr(0)))]);
+    s.run(&mut script, 10_000).unwrap();
     // arbitration(1) + address(1) + 4 words = 6.
     assert_eq!(script.results()[1].2.latency, 6);
 }
@@ -52,16 +50,12 @@ fn cache_to_cache_fetch_skips_memory_latency() {
 #[test]
 fn privilege_upgrade_costs_one_signal() {
     let mut s = System::new(BitarDespain, config(2)).unwrap();
-    let (script, _) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(0))),
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::read(Addr(0))),
+        (ProcId(1), ProcOp::read(Addr(0))),
+        (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+    ]);
+    s.run(&mut script, 10_000).unwrap();
     // arbitration(1) + signal(1) = 2.
     assert_eq!(script.results()[2].2.latency, 2);
 }
@@ -69,17 +63,17 @@ fn privilege_upgrade_costs_one_signal() {
 #[test]
 fn claim_no_fetch_costs_one_signal() {
     let mut s = System::new(BitarDespain, config(1)).unwrap();
-    let (script, _) =
-        s.run_script(vec![(ProcId(0), ProcOp::write_no_fetch(Addr(0), Word(1)))], 10_000).unwrap();
+    let mut script =
+        ScriptWorkload::new(vec![(ProcId(0), ProcOp::write_no_fetch(Addr(0), Word(1)))]);
+    s.run(&mut script, 10_000).unwrap();
     assert_eq!(script.results()[0].2.latency, 2);
 }
 
 #[test]
 fn word_write_through_pays_memory() {
     let mut s = System::new(ClassicWriteThrough, config(1)).unwrap();
-    let (script, _) = s
-        .run_script(vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))], 10_000)
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))]);
+    s.run(&mut script, 10_000).unwrap();
     // arbitration(1) + address(1) + memory(4) + 1 word = 7.
     assert_eq!(script.results()[0].2.latency, 7);
 }
@@ -87,16 +81,12 @@ fn word_write_through_pays_memory() {
 #[test]
 fn dragon_update_word_skips_memory() {
     let mut s = System::new(Dragon, config(2)).unwrap();
-    let (script, _) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(0))),
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::read(Addr(0))),
+        (ProcId(1), ProcOp::read(Addr(0))),
+        (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+    ]);
+    s.run(&mut script, 10_000).unwrap();
     // Dragon's update: arbitration(1) + address(1) + 1 word = 3 (no memory).
     assert_eq!(script.results()[2].2.latency, 3);
 }
@@ -104,8 +94,8 @@ fn dragon_update_word_skips_memory() {
 #[test]
 fn memory_rmw_holds_the_module_for_read_plus_write() {
     let mut s = System::new(RudolphSegall, SystemConfig::new(1).with_timing(timing()).with_cache(CacheConfig::fully_associative(64, 1).unwrap())).unwrap();
-    let (script, _) =
-        s.run_script(vec![(ProcId(0), ProcOp::rmw(Addr(0), Word(1)))], 10_000).unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::rmw(Addr(0), Word(1)))]);
+    s.run(&mut script, 10_000).unwrap();
     // arbitration(1) + address(1) + 2*memory(8) + 2 words = 12.
     assert_eq!(script.results()[0].2.latency, 12);
 }
@@ -113,16 +103,12 @@ fn memory_rmw_holds_the_module_for_read_plus_write() {
 #[test]
 fn illinois_source_arbitration_adds_cycles_only_with_multiple_sharers() {
     let mut s = System::new(Illinois, config(3)).unwrap();
-    let (script, _) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::read(Addr(0))),
-                (ProcId(1), ProcOp::read(Addr(0))), // one potential source: no ARB cost
-                (ProcId(2), ProcOp::read(Addr(0))), // two potential sources: +2
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::read(Addr(0))),
+        (ProcId(1), ProcOp::read(Addr(0))), // one potential source: no ARB cost
+        (ProcId(2), ProcOp::read(Addr(0))), // two potential sources: +2
+    ]);
+    s.run(&mut script, 10_000).unwrap();
     assert_eq!(script.results()[1].2.latency, 6);
     assert_eq!(script.results()[2].2.latency, 8);
 }
@@ -133,16 +119,12 @@ fn eviction_writeback_extends_the_fetch() {
     let cache = CacheConfig::fully_associative(1, WORDS).unwrap();
     let cfg = SystemConfig::new(1).with_timing(timing()).with_cache(cache);
     let mut s = System::new(Goodman, cfg).unwrap();
-    let (script, _) = s
-        .run_script(
-            vec![
-                (ProcId(0), ProcOp::write(Addr(0), Word(1))), // fetch + WT
-                (ProcId(0), ProcOp::write(Addr(0), Word(2))), // -> Dirty (local)
-                (ProcId(0), ProcOp::read(Addr(16))),          // evicts dirty block 0
-            ],
-            10_000,
-        )
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::write(Addr(0), Word(1))), // fetch + WT
+        (ProcId(0), ProcOp::write(Addr(0), Word(2))), // -> Dirty (local)
+        (ProcId(0), ProcOp::read(Addr(16))),          // evicts dirty block 0
+    ]);
+    s.run(&mut script, 10_000).unwrap();
     // Fetch from memory (10) + flush of the dirty victim (1+1+4+4 = 10).
     assert_eq!(script.results()[2].2.latency, 20);
 }
@@ -155,15 +137,11 @@ fn nonconcurrent_flush_penalty_charged_on_snoop_flushes() {
             .with_timing(t)
             .with_cache(CacheConfig::fully_associative(64, WORDS).unwrap());
         let mut s = System::new(Illinois, cfg).unwrap();
-        let (script, _) = s
-            .run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))), // Dirty in C0
-                    (ProcId(1), ProcOp::read(Addr(0))),           // snoop-flush + transfer
-                ],
-                10_000,
-            )
-            .unwrap();
+        let mut script = ScriptWorkload::new(vec![
+            (ProcId(0), ProcOp::write(Addr(0), Word(1))), // Dirty in C0
+            (ProcId(1), ProcOp::read(Addr(0))),           // snoop-flush + transfer
+        ]);
+        s.run(&mut script, 10_000).unwrap();
         script.results()[1].2.latency
     };
     assert_eq!(run(slow_flush), run(timing()) + 5);
@@ -174,9 +152,11 @@ fn lock_fetch_costs_no_more_than_plain_fetch() {
     // Section E.3: "locking a block is concurrent with fetching the
     // block, so generates no extra bus traffic, nor delays the processor."
     let mut plain = System::new(BitarDespain, config(1)).unwrap();
-    let (s1, _) = plain.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+    let mut s1 = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]);
+    plain.run(&mut s1, 10_000).unwrap();
     let mut locked = System::new(BitarDespain, config(1)).unwrap();
-    let (s2, _) = locked.run_script(vec![(ProcId(0), ProcOp::lock_read(Addr(0)))], 10_000).unwrap();
+    let mut s2 = ScriptWorkload::new(vec![(ProcId(0), ProcOp::lock_read(Addr(0)))]);
+    locked.run(&mut s2, 10_000).unwrap();
     assert_eq!(s1.results()[0].2.latency, s2.results()[0].2.latency);
 }
 
@@ -184,7 +164,7 @@ fn lock_fetch_costs_no_more_than_plain_fetch() {
 fn unlock_broadcast_costs_one_signal() {
     use mcs_sim::{ParallelScriptWorkload, ScriptStep};
     let mut s = System::new(BitarDespain, config(2)).unwrap();
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), vec![
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Compute(50),
@@ -195,7 +175,7 @@ fn unlock_broadcast_costs_one_signal() {
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(2))),
         ]);
-    s.run_workload(w, 10_000).unwrap();
+    s.run(&mut w, 10_000).unwrap();
     // The holder's unlock was an arbitration + one signal cycle.
     assert_eq!(s.stats().bus.unlock_broadcasts, 2);
 }

@@ -352,16 +352,13 @@ mod tests {
 
     #[test]
     fn cache_lock_ladder_runs_to_completion() {
-        let w = CriticalSectionWorkload::builder()
+        let mut w = CriticalSectionWorkload::builder()
             .locks(1)
             .iterations(10)
             .think_cycles(5)
             .build();
         let mut sys = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        let total = {
-            let stats = sys.run_workload(w, 500_000).unwrap();
-            stats.locks.acquires
-        };
+        let total = sys.run(&mut w, 500_000).unwrap().stats.locks.acquires;
         // 4 procs x 10 iterations, each acquiring once.
         assert_eq!(total, 40);
         assert_eq!(sys.stats().locks.releases, 40);
@@ -369,9 +366,10 @@ mod tests {
 
     #[test]
     fn cache_lock_produces_zero_bus_retries() {
-        let w = CriticalSectionWorkload::builder().locks(1).iterations(15).think_cycles(3).build();
+        let mut w =
+            CriticalSectionWorkload::builder().locks(1).iterations(15).think_cycles(3).build();
         let mut sys = System::new(BitarDespain, SystemConfig::new(6)).unwrap();
-        let stats = sys.run_workload(w, 2_000_000).unwrap();
+        let stats = sys.run(&mut w, 2_000_000).unwrap().stats;
         assert_eq!(stats.locks.acquires, 90);
         // Section E.4: the busy-wait register eliminates all unsuccessful
         // retries from the bus.
@@ -395,7 +393,7 @@ mod tests {
             .think_cycles(2)
             .build();
         let mut sys = System::new(Illinois, SystemConfig::new(4)).unwrap();
-        run_by_ref(&mut sys, &mut w);
+        sys.run(&mut w, 5_000_000).unwrap();
         assert_eq!(w.completed_sections(), 32);
         assert!(w.scheme_stats().failed_tas > 0, "contention must cause failed TAS ops");
     }
@@ -409,7 +407,7 @@ mod tests {
             .think_cycles(2)
             .build();
         let mut sys = System::new(Illinois, SystemConfig::new(4)).unwrap();
-        run_by_ref(&mut sys, &mut w);
+        sys.run(&mut w, 5_000_000).unwrap();
         assert_eq!(w.completed_sections(), 32);
         assert!(w.scheme_stats().spin_reads >= w.scheme_stats().failed_tas);
     }
@@ -418,10 +416,10 @@ mod tests {
     fn multiple_locks_reduce_contention() {
         let mut one = CriticalSectionWorkload::builder().locks(1).iterations(10).think_cycles(2).build();
         let mut sys1 = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        run_by_ref(&mut sys1, &mut one);
+        sys1.run(&mut one, 5_000_000).unwrap();
         let mut four = CriticalSectionWorkload::builder().locks(8).iterations(10).think_cycles(2).build();
         let mut sys4 = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        run_by_ref(&mut sys4, &mut four);
+        sys4.run(&mut four, 5_000_000).unwrap();
         assert!(
             sys4.stats().locks.denied <= sys1.stats().locks.denied,
             "more locks must not increase denials"
@@ -439,11 +437,5 @@ mod tests {
                 assert!(block_b >= block_a + 3, "atoms must not share blocks");
             }
         }
-    }
-
-    /// Helper: run a workload by mutable reference so its counters remain
-    /// inspectable.
-    fn run_by_ref<P: mcs_model::Protocol, W: Workload>(sys: &mut System<P>, w: &mut W) {
-        sys.run_workload(w, 5_000_000).unwrap();
     }
 }

@@ -170,7 +170,7 @@ mod tests {
     fn run(use_wnf: bool) -> (usize, mcs_model::Stats) {
         let mut w = MigrationWorkload::new(4, 4, 8, use_wnf);
         let mut sys = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        let stats = sys.run_workload(&mut w, 2_000_000).unwrap();
+        let stats = sys.run(&mut w, 2_000_000).unwrap().stats;
         (w.hops_done(), stats)
     }
 
@@ -202,7 +202,7 @@ mod tests {
         let mut w = MigrationWorkload::new(3, 2, 6, true);
         let mut sys = System::new(BitarDespain, SystemConfig::new(3)).unwrap();
         // The oracle inside the run verifies all restore reads.
-        sys.run_workload(&mut w, 2_000_000).unwrap();
+        sys.run(&mut w, 2_000_000).unwrap();
         assert_eq!(w.hops_done(), 6);
     }
 }

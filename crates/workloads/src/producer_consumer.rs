@@ -239,7 +239,7 @@ mod tests {
     fn handoffs_complete_on_invalidation_protocol() {
         let mut w = ProducerConsumerWorkload::new(10, 3, 5);
         let mut sys = System::new(Illinois, SystemConfig::new(2)).unwrap();
-        sys.run_workload(&mut w, 2_000_000).unwrap();
+        sys.run(&mut w, 2_000_000).unwrap();
         assert_eq!(w.handoffs(), 10);
         assert!(w.mean_handoff_latency() > 0.0);
     }
@@ -248,7 +248,7 @@ mod tests {
     fn handoffs_complete_on_update_protocol() {
         let mut w = ProducerConsumerWorkload::new(10, 3, 5);
         let mut sys = System::new(Dragon, SystemConfig::new(2)).unwrap();
-        sys.run_workload(&mut w, 2_000_000).unwrap();
+        sys.run(&mut w, 2_000_000).unwrap();
         assert_eq!(w.handoffs(), 10);
     }
 
@@ -256,7 +256,7 @@ mod tests {
     fn multiple_pairs_run_independently() {
         let mut w = ProducerConsumerWorkload::new(5, 2, 3);
         let mut sys = System::new(BitarDespain, SystemConfig::new(6)).unwrap();
-        sys.run_workload(&mut w, 2_000_000).unwrap();
+        sys.run(&mut w, 2_000_000).unwrap();
         assert_eq!(w.handoffs(), 15); // 3 pairs x 5 rounds
     }
 
@@ -264,7 +264,7 @@ mod tests {
     fn consumer_spin_is_mostly_cache_hits() {
         let mut w = ProducerConsumerWorkload::new(8, 2, 40);
         let mut sys = System::new(Illinois, SystemConfig::new(2)).unwrap();
-        let stats = sys.run_workload(&mut w, 2_000_000).unwrap();
+        let stats = sys.run(&mut w, 2_000_000).unwrap().stats;
         // The consumer polls many times; most polls must hit in cache
         // (primitive efficient busy wait: loop on block in cache).
         let consumer = &stats.per_proc[1];

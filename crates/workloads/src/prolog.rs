@@ -289,7 +289,7 @@ mod tests {
         let xbar = crossbar(4);
         let mut w = PrologWorkload::new(PrologConfig::default(), xbar.clone());
         let mut sys = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        let stats = sys.run_workload(&mut w, 5_000_000).unwrap();
+        let stats = sys.run(&mut w, 5_000_000).unwrap().stats;
         assert!(w.bindings_published() > 0, "some bindings must be published");
         assert!(w.switches() > 0, "some process switches must happen");
         // The crossbar carried the instruction traffic.
@@ -306,7 +306,7 @@ mod tests {
         let xbar = crossbar(4);
         let mut w = PrologWorkload::new(PrologConfig::default(), xbar.clone());
         let mut sys = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        let stats = sys.run_workload(&mut w, 5_000_000).unwrap();
+        let stats = sys.run(&mut w, 5_000_000).unwrap().stats;
         let sync_refs = stats.total_refs();
         let xbar_refs = xbar.borrow().stats().refs;
         assert!(
@@ -321,7 +321,7 @@ mod tests {
             let xbar = crossbar(3);
             let mut w = PrologWorkload::new(PrologConfig::default(), xbar);
             let mut sys = System::new(BitarDespain, SystemConfig::new(3)).unwrap();
-            sys.run_workload(&mut w, 5_000_000).unwrap();
+            sys.run(&mut w, 5_000_000).unwrap();
             (w.bindings_published(), w.switches())
         };
         assert_eq!(run(), run());

@@ -158,14 +158,14 @@ mod tests {
     #[test]
     fn issues_expected_reference_count() {
         let mut sys = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-        let stats = sys.run_workload(RandomSharingWorkload::new(cfg(500)), 5_000_000).unwrap();
+        let stats = sys.run(&mut RandomSharingWorkload::new(cfg(500)), 5_000_000).unwrap().stats;
         assert_eq!(stats.total_refs(), 4 * 500);
     }
 
     #[test]
     fn write_ratio_approximates_smith() {
         let mut sys = System::new(Illinois, SystemConfig::new(2)).unwrap();
-        let stats = sys.run_workload(RandomSharingWorkload::new(cfg(4_000)), 20_000_000).unwrap();
+        let stats = sys.run(&mut RandomSharingWorkload::new(cfg(4_000)), 20_000_000).unwrap().stats;
         let writes: u64 = stats.per_proc.iter().map(|p| p.writes).sum();
         let ratio = writes as f64 / stats.total_refs() as f64;
         assert!((0.30..0.40).contains(&ratio), "write ratio {ratio} out of band");
@@ -175,7 +175,7 @@ mod tests {
     fn deterministic_across_runs() {
         let run = || {
             let mut sys = System::new(Goodman, SystemConfig::new(3)).unwrap();
-            sys.run_workload(RandomSharingWorkload::new(cfg(800)), 10_000_000).unwrap()
+            sys.run(&mut RandomSharingWorkload::new(cfg(800)), 10_000_000).unwrap().stats
         };
         assert_eq!(run(), run());
     }
@@ -190,6 +190,6 @@ mod tests {
             ..Default::default()
         };
         let mut sys = System::new(Illinois, SystemConfig::new(4)).unwrap();
-        sys.run_workload(RandomSharingWorkload::new(cfg), 10_000_000).unwrap();
+        sys.run(&mut RandomSharingWorkload::new(cfg), 10_000_000).unwrap();
     }
 }

@@ -55,7 +55,7 @@ mod tests {
     fn global_queue_completes_under_cache_lock() {
         let mut w = global_ready_queue(LockSchemeKind::CacheLock, 6);
         let mut sys = System::new(BitarDespain, SystemConfig::new(5)).unwrap();
-        let stats = sys.run_workload(&mut w, 5_000_000).unwrap();
+        let stats = sys.run(&mut w, 5_000_000).unwrap().stats;
         assert_eq!(w.completed_sections(), 30);
         // High contention on one queue: denials happen, retries never.
         assert_eq!(stats.bus.retries, 0);
@@ -65,7 +65,7 @@ mod tests {
     fn global_queue_completes_under_tas() {
         let mut w = global_ready_queue(LockSchemeKind::TestAndSet, 6);
         let mut sys = System::new(Illinois, SystemConfig::new(5)).unwrap();
-        sys.run_workload(&mut w, 5_000_000).unwrap();
+        sys.run(&mut w, 5_000_000).unwrap();
         assert_eq!(w.completed_sections(), 30);
         assert!(w.scheme_stats().failed_tas > 0);
     }
@@ -75,7 +75,7 @@ mod tests {
         let run = |queues: usize| {
             let mut w = workload(LockSchemeKind::CacheLock, queues, 4, 6);
             let mut sys = System::new(BitarDespain, SystemConfig::new(6)).unwrap();
-            let stats = sys.run_workload(&mut w, 5_000_000).unwrap();
+            let stats = sys.run(&mut w, 5_000_000).unwrap().stats;
             stats.locks.denied
         };
         assert!(run(8) <= run(1));

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workload = PrologWorkload::new(cfg, crossbar.clone());
 
     let mut sync_system = System::new(BitarDespain, SystemConfig::new(procs))?;
-    let stats = sync_system.run_workload(&mut workload, 50_000_000)?;
+    let stats = sync_system.run(&mut workload, 50_000_000)?.stats;
     let xstats = crossbar.borrow().stats().clone();
 
     println!("Aquarius two-interconnect simulation ({procs} Prolog processors)");

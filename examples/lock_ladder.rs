@@ -29,7 +29,7 @@ fn measure<P: Protocol>(protocol: P, scheme: LockSchemeKind, procs: usize) -> Ro
         .iterations(15)
         .build();
     let mut sys = System::new(protocol, SystemConfig::new(procs)).expect("valid system");
-    let stats = sys.run_workload(&mut w, 30_000_000).expect("run completes");
+    let stats = sys.run(&mut w, 30_000_000).expect("run completes").stats;
     let sections = w.completed_sections().max(1);
     Row {
         scheme: scheme.id(),

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut w = ProducerConsumerWorkload::new(40, 3, 30);
         let stats = with_protocol!(kind, p => {
             let mut sys = System::new(p, SystemConfig::new(2))?;
-            sys.run_workload(&mut w, 20_000_000)?
+            sys.run(&mut w, 20_000_000)?.stats
         });
         let consumer = &stats.per_proc[1];
         println!(

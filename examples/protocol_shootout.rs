@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cache = CacheConfig::fully_associative(128, words)?;
         let stats = with_protocol!(kind, p => {
             let mut sys = System::new(p, SystemConfig::new(4).with_cache(cache))?;
-            sys.run_workload(RandomSharingWorkload::new(cfg), 50_000_000)?
+            sys.run(&mut RandomSharingWorkload::new(cfg), 50_000_000)?.stats
         });
         println!(
             "{:<16} {:>8.1}% {:>9} {:>9.1}% {:>12} {:>12} {:>9}",

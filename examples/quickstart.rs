@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iterations(50)
         .build();
 
-    let stats = system.run_workload(&mut workload, 2_000_000)?;
+    let stats = system.run(&mut workload, 2_000_000)?.stats;
 
     println!("critical sections completed : {}", workload.completed_sections());
     println!("simulated bus cycles        : {}", stats.cycles);

@@ -26,7 +26,7 @@ fn words_per_section(block_words: usize, unit_words: usize) -> (f64, f64) {
         .build();
     let mut sys = System::new(BitarDespain, SystemConfig::new(4).with_cache(cache))
         .expect("valid system");
-    let stats = sys.run_workload(&mut workload, 10_000_000).expect("run completes");
+    let stats = sys.run(&mut workload, 10_000_000).expect("run completes").stats;
     let sections = workload.completed_sections().max(1) as f64;
     (
         stats.bus.words_transferred as f64 / sections,

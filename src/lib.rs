@@ -21,7 +21,7 @@
 //!
 //! // Four processors contending for one lock under the paper's protocol.
 //! let config = SystemConfig::new(4).with_trace(false);
-//! let workload = CriticalSectionWorkload::builder()
+//! let mut workload = CriticalSectionWorkload::builder()
 //!     .locks(1)
 //!     .payload_blocks(1)
 //!     .payload_writes(4)
@@ -29,8 +29,9 @@
 //!     .iterations(50)
 //!     .build();
 //! let mut sim = System::new(BitarDespain::default(), config)?;
-//! let stats = sim.run_workload(workload, 200_000)?;
-//! assert!(stats.locks.acquires >= 200);
+//! let report = sim.run(&mut workload, 200_000)?;
+//! assert!(report.completed, "every processor finished before the ceiling");
+//! assert!(report.stats.locks.acquires >= 200);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -19,7 +19,7 @@ fn run(procs: usize, cfg: PrologConfig) -> (mcs::model::Stats, mcs::sim::Crossba
     let xbar = Rc::new(RefCell::new(Crossbar::new(procs, CrossbarConfig::default()).unwrap()));
     let mut w = PrologWorkload::new(cfg, xbar.clone());
     let mut sys = System::new(BitarDespain, SystemConfig::new(procs)).unwrap();
-    let stats = sys.run_workload(&mut w, 50_000_000).unwrap();
+    let stats = sys.run(&mut w, 50_000_000).unwrap().stats;
     let xstats = xbar.borrow().stats().clone();
     (stats, xstats, w.bindings_published(), w.switches())
 }

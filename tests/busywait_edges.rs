@@ -5,7 +5,7 @@
 
 use mcs::core::{BitarDespain, BitarState};
 use mcs::model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-use mcs::sim::{ParallelScriptWorkload, ScriptStep, System, SystemConfig};
+use mcs::sim::{ParallelScriptWorkload, ScriptStep, ScriptWorkload, System, SystemConfig};
 
 fn sys(procs: usize) -> System<BitarDespain> {
     System::new(BitarDespain, SystemConfig::new(procs).with_trace(true)).unwrap()
@@ -17,7 +17,7 @@ fn plain_write_to_locked_block_waits_and_completes() {
     // the requester busy-waits and its original operation completes after
     // the unlock.
     let mut s = sys(2);
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), vec![
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Compute(100),
@@ -27,13 +27,14 @@ fn plain_write_to_locked_block_waits_and_completes() {
             ScriptStep::Compute(20),
             ScriptStep::Op(ProcOp::write(Addr(1), Word(9))), // same block, plain write
         ]);
-    s.run_workload(w, 50_000).unwrap();
+    s.run(&mut w, 50_000).unwrap();
     let stats = s.stats();
     assert_eq!(stats.locks.denied, 1);
     assert_eq!(stats.locks.acquires, 1);
     // P1's write landed after the unlock; the oracle verified the data.
     assert_eq!(s.state_of(CacheId(1), BlockAddr(0)), BitarState::WriteSourceDirty);
-    let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(1)))], 10_000).unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(1)))]);
+    s.run(&mut script, 10_000).unwrap();
     assert_eq!(script.results()[0].2.value, Some(Word(9)));
 }
 
@@ -52,7 +53,7 @@ fn plain_read_to_locked_block_waits_and_completes() {
             ScriptStep::Op(ProcOp::read(Addr(1))),
         ]);
     let mut w2 = w;
-    s.run_workload(&mut w2, 50_000).unwrap();
+    s.run(&mut w2, 50_000).unwrap();
     // The waiting read observed the post-unlock value.
     assert_eq!(w2.results_of(ProcId(1))[0].1.value, Some(Word(77)));
     assert_eq!(s.stats().locks.denied, 1);
@@ -74,12 +75,12 @@ fn chain_of_three_waiters_drains_in_bounded_broadcasts() {
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(v))),
         ]
     };
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), holder)
         .program(ProcId(1), waiter(10, 2))
         .program(ProcId(2), waiter(14, 3))
         .program(ProcId(3), waiter(18, 4));
-    s.run_workload(w, 100_000).unwrap();
+    s.run(&mut w, 100_000).unwrap();
     let stats = s.stats();
     assert_eq!(stats.locks.acquires, 4);
     assert_eq!(stats.locks.releases, 4);
@@ -115,7 +116,7 @@ fn woken_register_beats_normal_requests_to_the_bus() {
         ])
         .program(ProcId(2), hammer);
     let mut w = w;
-    s.run_workload(&mut w, 100_000).unwrap();
+    s.run(&mut w, 100_000).unwrap();
     assert_eq!(s.stats().bus.high_priority_grants, 1);
     // The waiter's lock completed within ~3 transactions of the unlock.
     let unlock_time = w.results_of(ProcId(0))[1].2;
@@ -142,7 +143,7 @@ fn work_while_waiting_credit_expires_into_spinning() {
         .work_while_waiting(20)
         .build();
     let mut s = System::new(BitarDespain, SystemConfig::new(4)).unwrap();
-    let stats = s.run_workload(&mut w, 5_000_000).unwrap();
+    let stats = s.run(&mut w, 5_000_000).unwrap().stats;
     assert_eq!(w.completed_sections(), 24);
     let useful: u64 = stats.per_proc.iter().map(|p| p.useful_wait_cycles).sum();
     let waited: u64 = stats.per_proc.iter().map(|p| p.lock_wait_cycles).sum();

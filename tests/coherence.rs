@@ -10,10 +10,12 @@
 use mcs::cache::CacheConfig;
 use mcs::core::{with_protocol, ProtocolKind};
 use mcs::model::{Addr, ProcId, ProcOp, Rng64, Word};
-use mcs::sim::{SystemConfig, System};
+use mcs::sim::{ScriptWorkload, System, SystemConfig};
 
 /// Builds a random script exercising reads, writes, RMWs and (for the lock
-/// protocol) lock pairs, over a small contended address range.
+/// protocol) lock pairs, over a small contended address range. A script
+/// runs strictly in order, so a processor only ever requests a lock no
+/// other processor holds: waiting on a held one would deadlock the script.
 fn random_script(
     seed: u64,
     procs: usize,
@@ -27,6 +29,7 @@ fn random_script(
     // Lock blocks live apart from the data blocks.
     let lock_base = 64 * words_per_block;
     let mut held: Vec<Option<Addr>> = vec![None; procs];
+    let mut lock: Addr;
     for _ in 0..ops {
         let p = rng.gen_range_usize(0..procs);
         // A processor holding a lock either works inside it or releases.
@@ -49,8 +52,12 @@ fn random_script(
             2 => ProcOp::write(addr, Word(serial)),
             3 => ProcOp::rmw(addr, Word(serial)),
             4 => ProcOp::read_for_write(addr),
-            _ if with_locks && rng.gen_bool(0.4) => {
-                let lock = Addr(lock_base + rng.gen_range_u64(0..2) * words_per_block);
+            // The lock is drawn in the guard: a held one falls through to the
+            // plain write below, and scripts without locks draw nothing.
+            _ if with_locks && rng.gen_bool(0.4) && {
+                lock = Addr(lock_base + rng.gen_range_u64(0..2) * words_per_block);
+                !held.contains(&Some(lock))
+            } => {
                 held[p] = Some(lock);
                 ProcOp::lock_read(lock)
             }
@@ -79,8 +86,11 @@ fn every_protocol_survives_randomized_soak() {
                 let cache = CacheConfig::fully_associative(32, words).unwrap();
                 let mut sys =
                     System::new(p, SystemConfig::new(3).with_cache(cache)).unwrap();
-                sys.run_script(script, 1_000_000)
+                let mut w = ScriptWorkload::new(script);
+                let report = sys
+                    .run(&mut w, 1_000_000)
                     .unwrap_or_else(|e| panic!("{kind} seed {seed}: oracle violation: {e}"));
+                assert!(report.completed && w.finished(), "{kind} seed {seed}: script stalled");
             });
         }
     }
@@ -95,8 +105,7 @@ fn every_protocol_is_deterministic() {
             with_protocol!(kind, p => {
                 let cache = CacheConfig::fully_associative(32, words).unwrap();
                 let mut sys = System::new(p, SystemConfig::new(3).with_cache(cache)).unwrap();
-                let (_, stats) = sys.run_script(script, 1_000_000).unwrap();
-                stats
+                sys.run(&mut ScriptWorkload::new(script), 1_000_000).unwrap().stats
             })
         };
         assert_eq!(run(script.clone()), run(script), "{kind} must be deterministic");
@@ -112,8 +121,11 @@ fn tiny_caches_with_evictions_stay_coherent() {
         with_protocol!(kind, p => {
             let cache = CacheConfig::fully_associative(2, words).unwrap();
             let mut sys = System::new(p, SystemConfig::new(3).with_cache(cache)).unwrap();
-            sys.run_script(script, 2_000_000)
+            let mut w = ScriptWorkload::new(script);
+            let report = sys
+                .run(&mut w, 2_000_000)
                 .unwrap_or_else(|e| panic!("{kind} with tiny cache: {e}"));
+            assert!(report.completed && w.finished(), "{kind} with tiny cache: script stalled");
         });
     }
 }
@@ -125,8 +137,11 @@ fn set_associative_caches_stay_coherent() {
         with_protocol!(kind, p => {
             let cache = CacheConfig::set_associative(4, 2, 4).unwrap();
             let mut sys = System::new(p, SystemConfig::new(4).with_cache(cache)).unwrap();
-            sys.run_script(script, 2_000_000)
+            let mut w = ScriptWorkload::new(script);
+            let report = sys
+                .run(&mut w, 2_000_000)
                 .unwrap_or_else(|e| panic!("{kind} set-associative: {e}"));
+            assert!(report.completed && w.finished(), "{kind} set-associative: script stalled");
         });
     }
 }
@@ -137,20 +152,17 @@ fn io_transfers_stay_coherent() {
     for kind in [ProtocolKind::BitarDespain, ProtocolKind::Illinois, ProtocolKind::Goodman] {
         with_protocol!(kind, p => {
             let mut sys = System::new(p, SystemConfig::new(2)).unwrap();
-            sys.run_script(
-                vec![
-                    (ProcId(0), ProcOp::write(Addr(0), Word(1))),
-                    (ProcId(1), ProcOp::read(Addr(4))),
-                ],
-                100_000,
-            )
+            sys.run(&mut ScriptWorkload::new(vec![
+                (ProcId(0), ProcOp::write(Addr(0), Word(1))),
+                (ProcId(1), ProcOp::read(Addr(4))),
+            ]), 100_000)
             .unwrap();
             // Output sees the dirty value; input replaces it everywhere.
             let out = sys.io_output(BlockAddr(0), false).unwrap();
             assert_eq!(out[0], Word(1), "{kind}: I/O output must see the latest version");
             sys.io_input(BlockAddr(0), &[Word(9), Word(9), Word(9), Word(9)]).unwrap();
-            let (script, _) =
-                sys.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 100_000).unwrap();
+            let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]);
+            sys.run(&mut script, 100_000).unwrap();
             assert_eq!(script.results()[0].2.value, Some(Word(9)), "{kind}: input must invalidate");
         });
     }

@@ -7,7 +7,7 @@
 use mcs::cache::CacheConfig;
 use mcs::core::{BitarDespain, BitarState};
 use mcs::model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
-use mcs::sim::{ParallelScriptWorkload, ScriptStep, System, SystemConfig};
+use mcs::sim::{ParallelScriptWorkload, ScriptStep, ScriptWorkload, System, SystemConfig};
 
 /// A one-frame cache: any second block forces the locked block out.
 fn tiny_system(procs: usize) -> System<BitarDespain> {
@@ -18,15 +18,12 @@ fn tiny_system(procs: usize) -> System<BitarDespain> {
 #[test]
 fn locked_block_spills_its_lock_bit_to_memory() {
     let mut s = tiny_system(1);
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::lock_read(Addr(0))),
-            // Touching another block purges the locked one: the lock bit
-            // spills instead of being lost.
-            (ProcId(0), ProcOp::read(Addr(16))),
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::lock_read(Addr(0))),
+        // Touching another block purges the locked one: the lock bit
+        // spills instead of being lost.
+        (ProcId(0), ProcOp::read(Addr(16))),
+    ]), 10_000)
     .unwrap();
     assert_eq!(s.stats().locks.lock_spills, 1);
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), BitarState::Invalid);
@@ -37,7 +34,7 @@ fn locked_block_spills_its_lock_bit_to_memory() {
 #[test]
 fn spilled_lock_still_denies_other_requesters() {
     let mut s = tiny_system(2);
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), vec![
             ScriptStep::Op(ProcOp::lock_read(Addr(0))),
             ScriptStep::Op(ProcOp::read(Addr(16))), // spill the lock bit
@@ -49,7 +46,7 @@ fn spilled_lock_still_denies_other_requesters() {
             ScriptStep::Op(ProcOp::lock_read(Addr(0))), // denied by the memory bit
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(8))),
         ]);
-    s.run_workload(w, 50_000).unwrap();
+    s.run(&mut w, 50_000).unwrap();
     let stats = s.stats();
     assert_eq!(stats.locks.lock_spills, 1);
     assert_eq!(stats.locks.denied, 1, "the memory lock bit must deny P1");
@@ -62,36 +59,32 @@ fn spilled_lock_still_denies_other_requesters() {
 #[test]
 fn spilled_unlock_value_reaches_memory() {
     let mut s = tiny_system(1);
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::lock_read(Addr(0))),
-            (ProcId(0), ProcOp::read(Addr(16))), // spill
-            (ProcId(0), ProcOp::unlock_write(Addr(0), Word(42))),
-            (ProcId(0), ProcOp::read(Addr(0))), // refetch: oracle checks 42
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::lock_read(Addr(0))),
+        (ProcId(0), ProcOp::read(Addr(16))), // spill
+        (ProcId(0), ProcOp::unlock_write(Addr(0), Word(42))),
+        (ProcId(0), ProcOp::read(Addr(0))), // refetch: oracle checks 42
+    ]), 10_000)
     .unwrap();
-    let (script, _) = s.run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 10_000).unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]);
+    s.run(&mut script, 10_000).unwrap();
     assert_eq!(script.results()[0].2.value, Some(Word(42)));
 }
 
 #[test]
 fn holder_relocking_moves_the_bit_back_into_cache() {
     let mut s = tiny_system(2);
-    s.run_script(
-        vec![
-            (ProcId(0), ProcOp::lock_read(Addr(0))),
-            (ProcId(0), ProcOp::read(Addr(16))),    // spill
-            (ProcId(0), ProcOp::lock_read(Addr(0))), // re-fetch: bit returns
-        ],
-        10_000,
-    )
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(0), ProcOp::lock_read(Addr(0))),
+        (ProcId(0), ProcOp::read(Addr(16))),    // spill
+        (ProcId(0), ProcOp::lock_read(Addr(0))), // re-fetch: bit returns
+    ]), 10_000)
     .unwrap();
     // The line is locked in cache again...
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), BitarState::LockSourceDirty);
     // ...and the zero-time unlock path works once more.
-    s.run_script(vec![(ProcId(0), ProcOp::unlock_write(Addr(0), Word(1)))], 10_000).unwrap();
+    let unlock = vec![(ProcId(0), ProcOp::unlock_write(Addr(0), Word(1)))];
+    s.run(&mut ScriptWorkload::new(unlock), 10_000).unwrap();
     assert_eq!(s.stats().locks.releases, 1);
     assert_eq!(s.stats().locks.zero_time_releases, 1);
 }
@@ -113,11 +106,11 @@ fn spill_contention_remains_mutually_exclusive() {
             ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(val + 100))),
         ]
     };
-    let w = ParallelScriptWorkload::new()
+    let mut w = ParallelScriptWorkload::new()
         .program(ProcId(0), prog(0, 1))
         .program(ProcId(1), prog(7, 2))
         .program(ProcId(2), prog(13, 3));
-    s.run_workload(w, 200_000).unwrap();
+    s.run(&mut w, 200_000).unwrap();
     let stats = s.stats();
     assert_eq!(stats.locks.acquires, 6);
     assert_eq!(stats.locks.releases, 6);

@@ -24,7 +24,7 @@ fn run_cs<P: Protocol>(
         .iterations(iterations)
         .build();
     let mut sys = System::new(protocol, SystemConfig::new(procs)).unwrap();
-    let stats = sys.run_workload(&mut w, 20_000_000).unwrap();
+    let stats = sys.run(&mut w, 20_000_000).unwrap().stats;
     (stats, w.completed_sections(), *w.scheme_stats())
 }
 
@@ -90,7 +90,7 @@ fn global_ready_queue_scenario_from_the_paper() {
     // 3-4 block fetches per operation, high contention.
     let mut w = service_queue::global_ready_queue(LockSchemeKind::CacheLock, 8);
     let mut sys = System::new(BitarDespain, SystemConfig::new(8)).unwrap();
-    let stats = sys.run_workload(&mut w, 30_000_000).unwrap();
+    let stats = sys.run(&mut w, 30_000_000).unwrap().stats;
     assert_eq!(w.completed_sections(), 64);
     assert_eq!(stats.bus.retries, 0);
     assert!(stats.locks.denied > 0, "high contention must cause waiting");
@@ -102,7 +102,7 @@ fn lock_state_rmw_serializes_counter_increments() {
     // A shared counter incremented via test-and-set-protected sections on
     // the lock protocol: the final value proves serialization.
     use mcs::model::{Addr, ProcOp, Word};
-    use mcs::sim::{AccessResult, WorkItem};
+    use mcs::sim::{AccessResult, ScriptWorkload, WorkItem};
 
     struct Incr {
         per_proc: usize,
@@ -147,11 +147,10 @@ fn lock_state_rmw_serializes_counter_increments() {
     }
 
     let mut sys = System::new(BitarDespain, SystemConfig::new(6)).unwrap();
-    sys.run_workload(Incr { per_proc: 20, state: Vec::new(), in_flight: Vec::new() }, 10_000_000)
+    sys.run(&mut Incr { per_proc: 20, state: Vec::new(), in_flight: Vec::new() }, 10_000_000)
         .unwrap();
-    let (script, _) = sys
-        .run_script(vec![(ProcId(0), ProcOp::read(Addr(0)))], 100_000)
-        .unwrap();
+    let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]);
+    sys.run(&mut script, 100_000).unwrap();
     assert_eq!(
         script.results()[0].2.value,
         Some(Word(6 * 20)),

@@ -13,7 +13,7 @@ use mcs::core::{with_protocol, ProtocolKind};
 use mcs::model::{
     Addr, BlockAddr, LineState, Privilege, ProcId, ProcOp, Rng64, StateDescriptor, Word,
 };
-use mcs::sim::{System, SystemConfig};
+use mcs::sim::{ScriptWorkload, System, SystemConfig};
 
 /// Generates a random script of `len` ops over 3 processors and a small
 /// address range, mixing reads, writes, RMWs and read-for-writes.
@@ -50,7 +50,7 @@ fn arbitrary_sequences_stay_coherent() {
             with_protocol!(kind, p => {
                 let cache = CacheConfig::fully_associative(16, words).unwrap();
                 let mut sys = System::new(p, SystemConfig::new(3).with_cache(cache)).unwrap();
-                sys.run_script(script, 2_000_000)
+                sys.run(&mut ScriptWorkload::new(script), 2_000_000)
                     .unwrap_or_else(|e| panic!("case {case}, {kind}: {e}"));
             });
         }
@@ -69,8 +69,7 @@ fn runs_are_deterministic() {
             let stats = |script: Vec<(ProcId, ProcOp)>| with_protocol!(kind, p => {
                 let cache = CacheConfig::fully_associative(16, words).unwrap();
                 let mut sys = System::new(p, SystemConfig::new(3).with_cache(cache)).unwrap();
-                let (_, s) = sys.run_script(script, 2_000_000).unwrap();
-                s
+                sys.run(&mut ScriptWorkload::new(script), 2_000_000).unwrap().stats
             });
             assert_eq!(stats(ops.clone()), stats(ops.clone()), "case {case}, {kind}");
         }

@@ -9,7 +9,7 @@ use mcs::model::{
     Addr, AgentId, BlockAddr, BusOp, BusTxn, CacheId, LineState, ProcId, ProcOp, Protocol,
     SnoopOutcome, Stats, UpdateTarget, Word,
 };
-use mcs::sim::{System, SystemConfig};
+use mcs::sim::{ScriptWorkload, System, SystemConfig};
 
 /// The canonical scenario: P0 reads a block, P1 reads it too, P0 writes it
 /// twice, P1 reads it back.
@@ -28,8 +28,7 @@ fn run(kind: ProtocolKind) -> Stats {
     with_protocol!(kind, p => {
         let cache = CacheConfig::fully_associative(16, words).unwrap();
         let mut sys = System::new(p, SystemConfig::new(2).with_cache(cache)).unwrap();
-        let (_, stats) = sys.run_script(canonical_script(), 100_000).unwrap();
-        stats
+        sys.run(&mut ScriptWorkload::new(canonical_script()), 100_000).unwrap().stats
     })
 }
 

@@ -229,11 +229,11 @@ fn states_reachable_in_simulation_for_every_protocol() {
                 w = w.program(ProcId(i), prog);
             }
             // Step manually so intermediate states are observed.
-            // (run_workload only exposes the end state, so instead we rerun
+            // (`run` only exposes the end state, so instead we rerun
             // prefixes; simpler: poll states after each completed run of
             // increasing length is costly — here we observe after the full
             // run plus mid-run via lock contention in the battery.)
-            sys.run_workload(&mut w, 100_000).unwrap();
+            sys.run(&mut w, 100_000).unwrap();
             for block in 0..8u64 {
                 for cache in 0..2 {
                     seen.insert(
