@@ -10,7 +10,9 @@ use mcs_model::{
     Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
     StateDescriptor, Word,
 };
-use mcs_sim::{ScriptWorkload, System, SystemConfig};
+use mcs_protocols::{Illinois, IllinoisState};
+use mcs_sim::ScriptStep::{self, Compute, Op};
+use mcs_sim::{ParallelScriptWorkload, ScriptWorkload, System, SystemConfig};
 use std::fmt;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -352,4 +354,80 @@ fn random_soak_against_oracle() {
         // The oracle inside `run` validates every read.
         sys(procs).run(&mut ScriptWorkload::new(script), 200_000).expect("oracle must hold");
     }
+}
+
+/// Runs per-processor programs on a traced Illinois system.
+fn run_illinois(programs: Vec<Vec<ScriptStep>>) -> (System<Illinois>, ParallelScriptWorkload) {
+    let procs = programs.len();
+    let mut w = ParallelScriptWorkload::new();
+    for (p, steps) in programs.into_iter().enumerate() {
+        w = w.program(ProcId(p), steps);
+    }
+    let mut s = System::new(Illinois, SystemConfig::new(procs).with_trace(true)).unwrap();
+    assert!(s.run(&mut w, 10_000).unwrap().completed);
+    (s, w)
+}
+
+/// A conditional store (Section F.3, method 3) presented after another
+/// processor's write invalidated its line aborts on the spot: no bus
+/// transaction of its own.
+#[test]
+fn conditional_store_aborts_at_presentation_when_its_line_was_stolen() {
+    let (s, w) = run_illinois(vec![
+        vec![
+            Op(ProcOp::read(Addr(0))),
+            Compute(100),
+            Op(ProcOp::write_if_owned(Addr(0), Word(5))),
+        ],
+        vec![Compute(30), Op(ProcOp::write(Addr(0), Word(9)))],
+    ]);
+    // Presented at 111, after P1's write took the line at 31, and
+    // aborted in the same cycle rather than queued for a grant.
+    let (op, result, at) = w.results_of(ProcId(0))[1];
+    assert_eq!(op.kind, AccessKind::WriteIfOwned);
+    assert!(result.aborted);
+    assert_eq!(at, 111);
+    assert!(s.trace().render().contains("[   111] P0 write-if-owned @0x0"));
+    assert!(!result.hit);
+    assert_eq!(result.latency, 1);
+    // P0's read fetch and P1's write fetch; nothing for the store.
+    let stats = s.stats();
+    assert_eq!(stats.bus.txns, 2);
+    assert_eq!(stats.per_proc[0].misses, 2);
+    assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), IllinoisState::Invalid);
+}
+
+/// A conditional store that queued against a valid line, then lost the
+/// line to a snooped invalidate before its grant, aborts at the grant
+/// instead of turning into a full fetch.
+#[test]
+fn conditional_store_aborts_at_grant_when_its_line_was_stolen_while_queued() {
+    let (s, w) = run_illinois(vec![
+        vec![Op(ProcOp::read(Addr(0))), Compute(100), Op(ProcOp::write(Addr(0), Word(7)))],
+        vec![
+            Compute(30),
+            Op(ProcOp::read(Addr(0))),
+            Compute(64),
+            Op(ProcOp::write_if_owned(Addr(0), Word(5))),
+        ],
+        vec![Compute(101), Op(ProcOp::read(Addr(400)))],
+    ]);
+    // P1's store is presented at 101 against its Shared copy and queues
+    // behind P2's fetch; P0's invalidate wins the next grant at 112 and
+    // the store, granted at 114, finds its line gone.
+    let (op, result, at) = w.results_of(ProcId(1))[1];
+    assert_eq!(op.kind, AccessKind::WriteIfOwned);
+    assert!(result.aborted);
+    assert_eq!(at, 114);
+    let stats = s.stats();
+    assert_eq!(stats.bus.count("invalidate"), 1);
+    // Three fetches and P0's invalidate; the store never used the bus.
+    assert_eq!(stats.bus.txns, 4);
+    let trace = s.trace().render();
+    let line = |needle: &str| {
+        trace.lines().position(|l| l.contains(needle)).unwrap_or_else(|| panic!("{needle}: {trace}"))
+    };
+    assert!(trace.contains("[   101] P1 write-if-owned @0x0"), "{trace}");
+    assert!(trace.contains("[   112] bus: C0 invalidate B0x0"), "{trace}");
+    assert!(line("P1 write-if-owned") < line("C1 B0x0: S -> I"), "{trace}");
 }
