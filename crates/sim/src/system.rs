@@ -14,6 +14,22 @@
 //! single bus serializes the system, this is behaviourally faithful while
 //! keeping the simulation deterministic.
 //!
+//! # Request path
+//!
+//! One decision, `need`, says what a processor's operation needs against
+//! its line's current state. It has four answers: a local hit, with the
+//! line's next state; a bus request, with its [`BusOp`]; the forced unlock
+//! broadcast of a holder whose lock bit was spilled to memory (Section
+//! E.3's minor modification); or the abort of a conditional store whose
+//! line was stolen (Section F.3, method 3). A ready processor's
+//! presentation asks it, and so do the grant (re-evaluating a queued
+//! request against what snoops did to the line meanwhile), the end of a
+//! busy-wait backoff, and the second half of a two-transaction operation.
+//! An operation that misses becomes one `Request` value (the operation,
+//! its retries, its lock-wait start and its first presentation cycle),
+//! which the queued, lock-waiting and backing-off phases carry from
+//! presentation to grant.
+//!
 //! # Time advance
 //!
 //! The engine runs in one of two [`EngineMode`]s over the same `step`. The
@@ -100,42 +116,19 @@ enum Phase {
     /// Busy computing until the given cycle.
     Computing { until: u64 },
     /// Has a bus request queued, waiting for a grant. `queued_at` is when
-    /// this queue entry was (re-)created, for arbitration-wait latency;
-    /// `issued_at` is when the originating miss was first presented, for
-    /// miss-service latency.
-    Pending {
-        op: ProcOp,
-        bus_op: BusOp,
-        retries: u32,
-        wait_since: Option<u64>,
-        queued_at: u64,
-        issued_at: u64,
-    },
+    /// this queue entry was (re-)created, for arbitration-wait latency.
+    Pending { req: Request, queued_at: u64 },
     /// Transaction granted; completes (from the processor's view) at `until`.
     InFlight { op: ProcOp, until: u64, result: AccessResult },
-    /// Lock fetch denied; busy-wait register armed (Figure 7). `since` is
-    /// when the whole lock wait began (accumulates across re-denials);
-    /// `armed_at` is when the register was armed for *this* wait, the
-    /// anchor for the busy-wait timeout so a re-denied waiter gets a full
-    /// fresh timeout instead of expiring instantly.
-    WaitingLock {
-        op: ProcOp,
-        bus_op: BusOp,
-        since: u64,
-        behavior: WaitBehavior,
-        retries: u32,
-        issued_at: u64,
-        armed_at: u64,
-    },
+    /// Lock fetch denied; busy-wait register armed (Figure 7). The
+    /// request's `wait_since` is set. `armed_at` is when the register was
+    /// armed for *this* wait, the anchor for the busy-wait timeout so a
+    /// re-denied waiter gets a full fresh timeout instead of expiring
+    /// instantly.
+    WaitingLock { req: Request, behavior: WaitBehavior, armed_at: u64 },
     /// Busy-wait timeout taken: holding off the bus until `until` before
     /// re-requesting explicitly (bounded exponential backoff).
-    Backoff {
-        op: ProcOp,
-        until: u64,
-        retries: u32,
-        wait_since: Option<u64>,
-        issued_at: u64,
-    },
+    Backoff { req: Request, until: u64 },
     /// Program finished.
     Done,
 }
@@ -148,6 +141,56 @@ impl Phase {
             Phase::Pending { .. } => Some(Set::Pending),
             _ => None,
         }
+    }
+}
+
+/// A memory operation that missed at presentation, as one value from then
+/// until it completes: queued, denied a lock, backing off, granted. The bus
+/// op it needs is not kept: every grant decides it afresh.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    op: ProcOp,
+    /// Retries so far (a retried transaction, a first half, a busy-wait
+    /// timeout), checked against the retry bound.
+    retries: u32,
+    /// When the lock wait began (accumulates across re-denials); set once
+    /// a lock fetch is denied.
+    wait_since: Option<u64>,
+    /// When the operation was first presented, for miss-service latency.
+    issued_at: u64,
+}
+
+impl Request {
+    /// Lock wait accumulated by `now`.
+    fn waited(&self, now: u64) -> u64 {
+        self.wait_since.map_or(0, |s| now.saturating_sub(s))
+    }
+}
+
+/// What an operation needs against its line's current state.
+enum Need<S> {
+    /// Completes in the cache, moving the line from `state` to `next`.
+    Hit { state: S, next: S },
+    /// A bus transaction.
+    Bus(BusOp),
+    /// The forced unlock broadcast of a holder whose lock bit was spilled
+    /// to memory (Section E.3's minor modification): the bit clears and
+    /// waiters wake.
+    SpilledUnlock,
+    /// A conditional store (optimistic RMW, method 3, Section F.3) whose
+    /// line is no longer valid: "the block was stolen between the read and
+    /// the write, and atomicity is violated", so the store aborts without
+    /// touching the bus.
+    Abort,
+}
+
+/// The access kind the protocol sees for `kind`: a conditional store whose
+/// line is still valid proceeds as a plain write (possibly an upgrade).
+fn protocol_kind(kind: AccessKind) -> AccessKind {
+    if kind == AccessKind::WriteIfOwned {
+        AccessKind::Write
+    } else {
+        kind
     }
 }
 
@@ -177,9 +220,9 @@ fn credit_phase(
             false
         }
         // Backing off is a stall; the lock wait keeps running.
-        Phase::Pending { wait_since, .. } | Phase::Backoff { wait_since, .. } => {
+        Phase::Pending { req, .. } | Phase::Backoff { req, .. } => {
             p.stall_cycles += span;
-            wait_since.is_some()
+            req.wait_since.is_some()
         }
         Phase::WaitingLock { behavior, .. } => {
             // Work-while-waiting (Section E.4): the ready section supplies
@@ -200,20 +243,6 @@ fn credit_phase(
             s.add_waiter_span(since, span);
         }
     }
-}
-
-/// A request chosen by arbitration, with the fields of its queued
-/// operation.
-struct Grant {
-    proc: usize,
-    /// Granted at the reserved busy-wait-register priority.
-    hi: bool,
-    op: ProcOp,
-    bus_op: BusOp,
-    retries: u32,
-    wait_since: Option<u64>,
-    queued_at: u64,
-    issued_at: u64,
 }
 
 /// Iterator over the cache indices set in word `w` of a per-cache mask,
@@ -686,10 +715,10 @@ impl<P: Protocol> System<P> {
     /// The block processor `i`'s outstanding operation targets, if any.
     fn block_waited_on(&self, i: usize) -> Option<BlockAddr> {
         match &self.phases[i] {
-            Phase::Pending { op, .. }
-            | Phase::InFlight { op, .. }
-            | Phase::WaitingLock { op, .. }
-            | Phase::Backoff { op, .. } => Some(self.geometry.block_of(op.addr)),
+            Phase::InFlight { op, .. } => Some(self.geometry.block_of(op.addr)),
+            Phase::Pending { req, .. }
+            | Phase::WaitingLock { req, .. }
+            | Phase::Backoff { req, .. } => Some(self.geometry.block_of(req.op.addr)),
             _ => None,
         }
     }
@@ -891,8 +920,11 @@ impl<P: Protocol> System<P> {
                     workload.complete(ProcId(i), &op, &result, self.now);
                 }
                 Phase::Computing { .. } => self.set_phase(i, Phase::Ready),
-                Phase::Backoff { op, retries, wait_since, issued_at, .. } => {
-                    self.re_present_after_backoff(i, op, retries, wait_since, issued_at, workload)?;
+                // The line may have changed while backing off (the lock
+                // may even be free locally now).
+                Phase::Backoff { req, .. } => {
+                    let need = self.need(i, &req.op);
+                    self.serve(i, req, need, self.now + 1, workload)?;
                 }
                 Phase::WaitingLock { .. } => self.sched.sets.insert(Set::Due, i),
                 // An idle hint: the ready poll below runs regardless.
@@ -973,80 +1005,53 @@ impl<P: Protocol> System<P> {
     /// against the livelock bound so a permanently-lost lock still
     /// terminates with a typed error.
     fn time_out_waiter(&mut self, i: usize, timeout: u64) -> Result<(), SimError> {
-        let Phase::WaitingLock { op, since, retries, issued_at, armed_at, .. } = self.phases[i]
-        else {
+        let Phase::WaitingLock { req, armed_at, .. } = self.phases[i] else {
             return Ok(());
         };
         if self.registers[i].wants_bus() || self.now < armed_at + timeout {
             return Ok(());
         }
-        if retries + 1 > self.retry_bound {
+        let retries = req.retries + 1;
+        if retries > self.retry_bound {
             return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
         }
         self.disarm_register(i);
-        let block = self.geometry.block_of(op.addr);
-        self.emit(self.now, || Event::WaiterTimeout {
-            cache: CacheId(i),
-            block,
-            retries: retries + 1,
-        });
+        let block = self.geometry.block_of(req.op.addr);
+        self.emit(self.now, || Event::WaiterTimeout { cache: CacheId(i), block, retries });
         let backoff_txns = match &mut self.faults {
             Some(f) => {
                 f.note_busy_wait_timeout();
-                f.plan().backoff_txns(retries)
+                f.plan().backoff_txns(req.retries)
             }
             None => 1,
         };
         let hold = backoff_txns.saturating_mul(self.timing.signal_txn()).max(1);
-        self.set_phase(
-            i,
-            Phase::Backoff {
-                op,
-                until: self.now + hold,
-                retries: retries + 1,
-                wait_since: Some(since),
-                issued_at,
-            },
-        );
+        self.set_phase(i, Phase::Backoff { req: Request { retries, ..req }, until: self.now + hold });
         Ok(())
     }
 
-    /// Re-presents a timed-out waiter's operation after its backoff
-    /// expires, mirroring the queued-request re-evaluation in `try_grant`:
-    /// the line state may have changed while backing off (the lock may
-    /// even be free locally now).
-    fn re_present_after_backoff<W: Workload>(
-        &mut self,
-        i: usize,
-        op: ProcOp,
-        retries: u32,
-        wait_since: Option<u64>,
-        issued_at: u64,
-        workload: &mut W,
-    ) -> Result<(), SimError> {
+    /// What processor `i`'s `op` needs against its line's current state.
+    /// Every presentation of an operation asks here: a ready processor's,
+    /// a grant's re-evaluation of a queued request, a backoff's end, and
+    /// the second half of a two-transaction operation.
+    fn need(&self, i: usize, op: &ProcOp) -> Need<P::State> {
         let block = self.geometry.block_of(op.addr);
-        let state = self.caches[i].state_of(block);
-        match self.protocol.proc_access(state, op.kind) {
-            ProcAction::Hit { next } => {
-                let waited = wait_since.map_or(0, |s| self.now.saturating_sub(s));
-                if let Some(h) = &mut self.hists {
-                    h.miss_service.record(self.now - issued_at + 1);
-                }
-                self.apply_local_hit(i, op, state, next, waited, workload)?;
-                self.set_phase(i, Phase::Computing { until: self.now + 1 });
-            }
-            ProcAction::Bus { op: bus_op } => {
-                self.set_phase(i, Phase::Pending {
-                    op,
-                    bus_op,
-                    retries,
-                    wait_since,
-                    queued_at: self.now,
-                    issued_at,
-                });
-            }
+        if op.kind == AccessKind::UnlockWrite && self.holds_spilled_lock(i, block) {
+            return Need::SpilledUnlock;
         }
-        Ok(())
+        let state = self.caches[i].state_of(block);
+        if op.kind == AccessKind::WriteIfOwned && !state.descriptor().is_valid() {
+            return Need::Abort;
+        }
+        match self.protocol.proc_access(state, protocol_kind(op.kind)) {
+            ProcAction::Hit { next } => Need::Hit { state, next },
+            ProcAction::Bus { op } => Need::Bus(op),
+        }
+    }
+
+    /// Whether cache `i` holds `block`'s lock bit spilled to memory.
+    fn holds_spilled_lock(&self, i: usize, block: BlockAddr) -> bool {
+        self.memory_locks.get(&block).is_some_and(|(holder, _)| *holder == CacheId(i))
     }
 
     /// A ready processor presents `op` to its cache.
@@ -1056,90 +1061,80 @@ impl<P: Protocol> System<P> {
         op: ProcOp,
         workload: &mut W,
     ) -> Result<(), SimError> {
-        let kind = op.kind;
-        let block = self.geometry.block_of(op.addr);
         self.directories[i].proc_access();
         let pstats = &mut self.stats.per_proc[i];
         pstats.refs += 1;
-        if kind.is_read() {
+        if op.kind.is_read() {
             pstats.reads += 1;
         }
-        if kind.is_write() {
+        if op.kind.is_write() {
             pstats.writes += 1;
         }
-
-        let state = self.caches[i].state_of(block);
-        // A holder unlocking a block whose lock bit was spilled to memory:
-        // the unlock is broadcast so the bit clears and waiters wake.
-        if kind == AccessKind::UnlockWrite
-            && self.memory_locks.get(&block).map(|(h, _)| *h) == Some(CacheId(i))
-        {
-            self.stats.per_proc[i].misses += 1;
-            self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-            self.set_phase(i, Phase::Pending {
-                op,
-                bus_op: BusOp::UnlockBroadcast,
-                retries: 0,
-                wait_since: None,
-                queued_at: self.now,
-                issued_at: self.now,
-            });
-            return Ok(());
-        }
-        // The conditional store (optimistic RMW, method 3, Section F.3):
-        // "if the write generates a miss, it means that the block was
-        // stolen between the read and the write, and atomicity is
-        // violated" — the cache raises an exception and drops the pending
-        // write. A still-valid copy proceeds as a plain write (possibly an
-        // upgrade); an invalidated copy aborts without touching the bus.
-        let effective_kind =
-            if kind == AccessKind::WriteIfOwned { AccessKind::Write } else { kind };
-        if kind == AccessKind::WriteIfOwned && !state.descriptor().is_valid() {
-            self.stats.per_proc[i].misses += 1;
-            self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-            if let Some(h) = &mut self.hists {
-                h.miss_service.record(1);
-            }
-            let result = AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
-            self.note_progress(i);
-            workload.complete(ProcId(i), &op, &result, self.now);
-            self.set_phase(i, Phase::Computing { until: self.now + 1 });
-            return Ok(());
-        }
-        match self.protocol.proc_access(state, effective_kind) {
-            ProcAction::Hit { next } => {
+        match self.need(i, &op) {
+            Need::Hit { state, next } => {
                 self.stats.per_proc[i].hits += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: true });
-                self.apply_local_hit(i, op, state, next, 0, workload)?;
-                self.set_phase(i, Phase::Computing { until: self.now + 1 });
+                self.complete_locally(i, op, state, next, 0, self.now + 1, workload)
             }
-            ProcAction::Bus { op: bus_op } => {
+            need => {
                 self.stats.per_proc[i].misses += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-                self.set_phase(i, Phase::Pending {
-                    op,
-                    bus_op,
-                    retries: 0,
-                    wait_since: None,
-                    queued_at: self.now,
-                    issued_at: self.now,
-                });
+                let req = Request { op, retries: 0, wait_since: None, issued_at: self.now };
+                self.serve(i, req, need, self.now + 1, workload)
             }
         }
-        Ok(())
     }
 
-    /// Performs the data/state effects of a local (no-bus) access.
-    /// `waited` is the lock-wait this access accumulated before completing
-    /// locally (nonzero only when a queued/woken request converted into a
-    /// hit), recorded against the lock-acquire-wait histogram.
-    fn apply_local_hit<W: Workload>(
+    /// Acts on what request `req` of processor `i` needs: queues it for
+    /// the bus, or settles it in the cache by `until`, where a hit
+    /// completes and a stolen conditional store aborts. A settled request
+    /// records its miss-service latency from its first presentation.
+    fn serve<W: Workload>(
+        &mut self,
+        i: usize,
+        req: Request,
+        need: Need<P::State>,
+        until: u64,
+        workload: &mut W,
+    ) -> Result<(), SimError> {
+        if let Need::Bus(_) | Need::SpilledUnlock = need {
+            self.set_phase(i, Phase::Pending { req, queued_at: self.now });
+            return Ok(());
+        }
+        if let Some(h) = &mut self.hists {
+            h.miss_service.record(until - req.issued_at);
+        }
+        match need {
+            Need::Hit { state, next } => {
+                let waited = req.waited(self.now);
+                self.complete_locally(i, req.op, state, next, waited, until, workload)
+            }
+            // An abort: the cache raises an exception and drops the store.
+            _ => {
+                let result =
+                    AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
+                self.note_progress(i);
+                workload.complete(ProcId(i), &req.op, &result, self.now);
+                self.set_phase(i, Phase::Computing { until });
+                Ok(())
+            }
+        }
+    }
+
+    /// Performs the data/state effects of a local (no-bus) access, then
+    /// computes until `until`. `waited` is the lock-wait this access
+    /// accumulated before completing locally (nonzero only when a
+    /// queued/woken request converted into a hit), recorded against the
+    /// lock-acquire-wait histogram.
+    #[allow(clippy::too_many_arguments)]
+    fn complete_locally<W: Workload>(
         &mut self,
         i: usize,
         op: ProcOp,
         state: P::State,
         next: P::State,
         waited: u64,
+        until: u64,
         workload: &mut W,
     ) -> Result<(), SimError> {
         let block = self.geometry.block_of(op.addr);
@@ -1211,48 +1206,38 @@ impl<P: Protocol> System<P> {
         let result = AccessResult { value, hit: true, retries: 0, latency: 1, aborted: false };
         self.note_progress(i);
         workload.complete(ProcId(i), &op, &result, self.now);
+        self.set_phase(i, Phase::Computing { until });
         Ok(())
     }
 
-    /// Processor `i`'s request at the given priority, if it has one: a
-    /// queued `Pending` operation, or (`hi`) the lock fetch of a woken
-    /// busy-wait register.
-    fn request_of(&self, i: usize, hi: bool) -> Option<Grant> {
+    /// Processor `i`'s request at the given priority, if it has one, with
+    /// the cycle it joined the queue: a `Pending` request, or (`hi`) the
+    /// lock fetch of a woken busy-wait register, which re-arbitrates from
+    /// its wakeup cycle.
+    fn request_of(&self, i: usize, hi: bool) -> Option<(u64, Request)> {
         match (hi, &self.phases[i]) {
-            (false, &Phase::Pending { op, bus_op, retries, wait_since, queued_at, issued_at }) => {
-                Some(Grant { proc: i, hi, op, bus_op, retries, wait_since, queued_at, issued_at })
-            }
-            // A woken busy-wait register re-arbitrates from its wakeup
-            // cycle, so that is when its (high-priority) queue wait began.
-            (true, &Phase::WaitingLock { op, bus_op, since, retries, issued_at, .. }) => Some(Grant {
-                proc: i,
-                hi,
-                op,
-                bus_op,
-                retries,
-                wait_since: Some(since),
-                queued_at: self.sched.clocks[i].woken_at,
-                issued_at,
-            }),
+            (false, &Phase::Pending { req, queued_at }) => Some((queued_at, req)),
+            (true, &Phase::WaitingLock { req, .. }) => Some((self.sched.clocks[i].woken_at, req)),
             _ => None,
         }
     }
 
     /// Round-robin arbitration over `set`: the first member holding a
     /// request at priority `hi`, starting from `rr` and wrapping around.
-    fn pick(&mut self, set: Set, hi: bool) -> Option<Grant> {
+    /// Returns `(proc, hi, queued_at, request)`.
+    fn pick(&mut self, set: Set, hi: bool) -> Option<(usize, bool, u64, Request)> {
         let n = self.phases.len();
         let (mut from, mut end) = (self.rr, n);
         loop {
             match self.sched.sets.next(set, from).filter(|&i| i < end) {
                 Some(i) => {
                     from = i + 1;
-                    let Some(grant) = self.request_of(i, hi) else { continue };
+                    let Some((queued_at, req)) = self.request_of(i, hi) else { continue };
                     // Fault choke point: an unfair arbiter skips its victim.
                     if self.faults.as_mut().is_some_and(|f| f.take_starved_grant(i)) {
                         continue;
                     }
-                    return Some(grant);
+                    return Some((i, hi, queued_at, req));
                 }
                 None if end == n && self.rr > 0 => (from, end) = (0, self.rr),
                 None => return None,
@@ -1267,11 +1252,11 @@ impl<P: Protocol> System<P> {
         }
         // Reserved high-priority level: woken busy-wait registers
         // (Figure 9). Then normal requests, round-robin fair.
-        let Some(grant) = self.pick(Set::Woken, true).or_else(|| self.pick(Set::Pending, false))
+        let Some((i, hi, queued_at, req)) =
+            self.pick(Set::Woken, true).or_else(|| self.pick(Set::Pending, false))
         else {
             return Ok(());
         };
-        let Grant { proc: i, hi, op, bus_op, retries, wait_since, queued_at, issued_at } = grant;
         self.rr = (i + 1) % self.phases.len();
         if hi {
             self.disarm_register(i);
@@ -1280,75 +1265,25 @@ impl<P: Protocol> System<P> {
         // Lock wait accumulated so far and arbitration wait for this grant;
         // both are pure functions of grant cycles, hence identical across
         // engine modes.
-        let waited = wait_since.map_or(0, |s| self.now.saturating_sub(s));
+        let waited = req.waited(self.now);
         let arb_wait = self.now.saturating_sub(queued_at);
 
         // Re-evaluate the access against the *current* line state: while
         // the request was queued, snooped transactions may have invalidated
-        // the copy (an upgrade must become a full fetch) or even granted
-        // the needed privilege. Replaying the stale request would read
-        // stale words or lock a stolen block.
-        let block = self.geometry.block_of(op.addr);
-        let state = self.caches[i].state_of(block);
-        // A spilled-lock unlock keeps its forced broadcast.
-        if op.kind == AccessKind::UnlockWrite
-            && self.memory_locks.get(&block).map(|(h, _)| *h) == Some(CacheId(i))
-        {
-            match self.execute_txn(i, op, BusOp::UnlockBroadcast, hi, waited, arb_wait)? {
-                TxnOut::Completed { mut result, duration } => {
-                    result.retries = retries;
-                    result.latency = duration;
-                    self.stats.bus.busy_cycles += duration;
-                    self.bus_free_at = self.now + duration;
-                    if let Some(h) = &mut self.hists {
-                        h.miss_service.record(self.now + duration - issued_at);
-                    }
-                    self.set_phase(i, Phase::InFlight { op, until: self.now + duration, result });
-                }
-                _ => {
-                    return Err(SimError::EngineInvariant {
-                        context: "spilled-lock unlock broadcast did not complete",
-                        cycle: self.now,
-                        cache: CacheId(i),
-                        block,
-                    })
-                }
-            }
-            return Ok(());
-        }
-        // A queued conditional store whose line was invalidated aborts
-        // instead of converting into a full fetch (the steal violated the
-        // optimistic RMW's atomicity).
-        if op.kind == AccessKind::WriteIfOwned && !state.descriptor().is_valid() {
-            if let Some(h) = &mut self.hists {
-                h.miss_service.record(self.now - issued_at + 1);
-            }
-            let result = AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
-            self.note_progress(i);
-            workload.complete(ProcId(i), &op, &result, self.now);
-            self.set_phase(i, Phase::Computing { until: self.now + 1 });
-            return Ok(());
-        }
-        let effective_kind =
-            if op.kind == AccessKind::WriteIfOwned { AccessKind::Write } else { op.kind };
-        let bus_op = match self.protocol.proc_access(state, effective_kind) {
-            ProcAction::Bus { op: fresh } => fresh,
-            ProcAction::Hit { next } => {
-                // The access can now complete locally; no transaction.
-                let _ = bus_op;
-                if let Some(h) = &mut self.hists {
-                    h.miss_service.record(self.now - issued_at + 1);
-                }
-                self.apply_local_hit(i, op, state, next, waited, workload)?;
-                self.set_phase(i, Phase::Computing { until: self.now + 1 });
-                return Ok(());
-            }
+        // the copy (an upgrade must become a full fetch, a conditional
+        // store must abort) or even granted the needed privilege. Replaying
+        // the stale request would read stale words or lock a stolen block.
+        let op = req.op;
+        let (bus_op, forced) = match self.need(i, &op) {
+            Need::Bus(bus_op) => (bus_op, false),
+            Need::SpilledUnlock => (BusOp::UnlockBroadcast, true),
+            need => return self.serve(i, req, need, self.now + 1, workload),
         };
 
         match self.execute_txn(i, op, bus_op, hi, waited, arb_wait)? {
             TxnOut::Completed { mut result, duration } => {
-                result.retries = retries;
-                if wait_since.is_some() {
+                result.retries = req.retries;
+                if req.wait_since.is_some() {
                     self.stats.locks.max_wait_cycles = self.stats.locks.max_wait_cycles.max(waited);
                     self.stats.locks.total_wait_cycles += waited;
                     if let Some(h) = &mut self.hists {
@@ -1359,9 +1294,18 @@ impl<P: Protocol> System<P> {
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
                 if let Some(h) = &mut self.hists {
-                    h.miss_service.record(self.now + duration - issued_at);
+                    h.miss_service.record(self.now + duration - req.issued_at);
                 }
                 self.set_phase(i, Phase::InFlight { op, until: self.now + duration, result });
+            }
+            // The engine guarantees a spilled lock's unlock completes.
+            _ if forced => {
+                return Err(SimError::EngineInvariant {
+                    context: "spilled-lock unlock broadcast did not complete",
+                    cycle: self.now,
+                    cache: CacheId(i),
+                    block: self.geometry.block_of(op.addr),
+                })
             }
             TxnOut::InstalledRetry { duration } => {
                 self.stats.bus.busy_cycles += duration;
@@ -1369,47 +1313,24 @@ impl<P: Protocol> System<P> {
                 // Counted against the retry bound so a protocol whose
                 // second half keeps being undone by snoops is detected as
                 // a livelock instead of spinning forever.
-                if retries + 1 > self.retry_bound {
+                let retries = req.retries + 1;
+                if retries > self.retry_bound {
                     return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
                 }
-                let block = self.geometry.block_of(op.addr);
-                let new_state = self.caches[i].state_of(block);
-                match self.protocol.proc_access(new_state, op.kind) {
-                    ProcAction::Bus { op: bus_op2 } => {
-                        self.set_phase(i, Phase::Pending {
-                            op,
-                            bus_op: bus_op2,
-                            retries: retries + 1,
-                            wait_since,
-                            queued_at: self.now,
-                            issued_at,
-                        });
-                    }
-                    ProcAction::Hit { next } => {
-                        // The second half completes locally (rare).
-                        if let Some(h) = &mut self.hists {
-                            h.miss_service.record(self.now + duration - issued_at);
-                        }
-                        self.apply_local_hit(i, op, new_state, next, waited, workload)?;
-                        self.set_phase(i, Phase::Computing { until: self.now + duration });
-                    }
-                }
+                // Present the op again against the installed state; its
+                // second half rarely completes locally.
+                let need = self.need(i, &op);
+                self.serve(i, Request { retries, ..req }, need, self.now + duration, workload)?;
             }
             TxnOut::Retried { duration } => {
                 self.stats.bus.retries += 1;
-                if retries + 1 > self.retry_bound {
+                let retries = req.retries + 1;
+                if retries > self.retry_bound {
                     return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
                 }
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
-                self.set_phase(i, Phase::Pending {
-                    op,
-                    bus_op,
-                    retries: retries + 1,
-                    wait_since,
-                    queued_at: self.now,
-                    issued_at,
-                });
+                self.set_phase(i, Phase::Pending { req: Request { retries, ..req }, queued_at: self.now });
             }
             TxnOut::Denied { duration } => {
                 let block = self.geometry.block_of(op.addr);
@@ -1419,13 +1340,10 @@ impl<P: Protocol> System<P> {
                 let behavior = workload.on_lock_wait(ProcId(i), block, self.now);
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
+                let wait_since = req.wait_since.or(Some(self.now));
                 self.set_phase(i, Phase::WaitingLock {
-                    op,
-                    bus_op,
-                    since: wait_since.unwrap_or(self.now),
+                    req: Request { wait_since, ..req },
                     behavior,
-                    retries,
-                    issued_at,
                     armed_at: self.now,
                 });
             }
@@ -1608,9 +1526,7 @@ impl<P: Protocol> System<P> {
 
         // --- Completion phase ---
         let state = self.caches[req].state_of(block);
-        let complete_kind =
-            if op.kind == AccessKind::WriteIfOwned { AccessKind::Write } else { op.kind };
-        let outcome = self.protocol.complete(state, complete_kind, &txn, &summary);
+        let outcome = self.protocol.complete(state, protocol_kind(op.kind), &txn, &summary);
 
         let flush_extra = self.timing.nonconcurrent_flush_penalty * snoop_flush_count as u64;
 
@@ -1804,7 +1720,7 @@ impl<P: Protocol> System<P> {
                 self.stats.bus.unlock_broadcasts += 1;
                 // Clearing a spilled lock bit: the holder releases without
                 // ever re-fetching the block.
-                if self.memory_locks.get(&block).map(|(h, _)| *h) == Some(CacheId(req)) {
+                if self.holds_spilled_lock(req, block) {
                     self.memory_locks.remove(&block);
                     self.stats.locks.releases += 1;
                     self.lock_oracle_release(block, CacheId(req))?;
@@ -1941,9 +1857,7 @@ impl<P: Protocol> System<P> {
         }
         // A holder re-fetching its own spilled lock moves the bit back
         // into cache state (preserving any recorded waiter).
-        if self.memory_locks.get(&block).map(|(h, _)| *h) == Some(CacheId(req))
-            && after_d.is_locked()
-        {
+        if self.holds_spilled_lock(req, block) && after_d.is_locked() {
             self.memory_locks.remove(&block);
         }
         // A lock-state RMW that was woken from busy wait collapses
