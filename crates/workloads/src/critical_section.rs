@@ -9,7 +9,6 @@
 use mcs_model::{Addr, BlockAddr, ProcId, ProcOp, Word};
 use mcs_sim::{AccessResult, WaitBehavior, WorkItem, Workload};
 use mcs_sync::{LockAcquire, LockSchemeKind, LockSchemeStats, LockStep};
-use std::collections::VecDeque;
 
 /// Builder for [`CriticalSectionWorkload`].
 #[derive(Debug, Clone)]
@@ -115,8 +114,10 @@ enum Phase {
     AcquireWait(LockAcquire),
     /// The machine asked for another op (retry/spin); issue it.
     AcquireIssue(LockAcquire, ProcOp),
-    /// Holding the lock; drain the payload ops, then release.
-    Critical(VecDeque<ProcOp>),
+    /// Holding the lock; issue the payload ops from index `next`, then
+    /// release. Write `j` stores `base + 1 + j`, values reserved when the
+    /// lock was acquired.
+    Critical { next: usize, base: u64 },
     /// The release op is in flight.
     ReleaseWait,
     /// All iterations finished.
@@ -230,19 +231,18 @@ impl CriticalSectionWorkload {
         (proc.0 * 31 + iteration * 7) % self.cfg.locks
     }
 
-    fn critical_ops(&mut self, lock: usize) -> VecDeque<ProcOp> {
-        let mut ops = VecDeque::new();
-        for i in 0..self.cfg.payload_reads {
-            ops.push_back(ProcOp::read(self.payload_addr(lock, i)));
+    /// Payload op `next` of a critical section on `lock`: the reads, then
+    /// the writes; `None` once all are issued.
+    fn critical_op(&self, lock: usize, next: usize, base: u64) -> Option<ProcOp> {
+        let addr = self.payload_addr(lock, next);
+        let reads = self.cfg.payload_reads;
+        if next < reads {
+            Some(ProcOp::read(addr))
+        } else if next < reads + self.cfg.payload_writes {
+            Some(ProcOp::write(addr, Word(base + 1 + (next - reads) as u64)))
+        } else {
+            None
         }
-        for i in 0..self.cfg.payload_writes {
-            self.value_seq += 1;
-            ops.push_back(ProcOp::write(
-                self.payload_addr(lock, self.cfg.payload_reads + i),
-                Word(self.value_seq),
-            ));
-        }
-        ops
     }
 }
 
@@ -284,19 +284,18 @@ impl Workload for CriticalSectionWorkload {
                 self.procs[proc.0].phase = Phase::AcquireWait(acquire);
                 WorkItem::Idle
             }
-            Phase::Critical(mut ops) => match ops.pop_front() {
-                Some(op) => {
-                    self.procs[proc.0].phase = Phase::Critical(ops);
+            Phase::Critical { next, base } => {
+                let lock = self.procs[proc.0].current_lock;
+                if let Some(op) = self.critical_op(lock, next, base) {
+                    self.procs[proc.0].phase = Phase::Critical { next: next + 1, base };
                     WorkItem::Op(op)
-                }
-                None => {
-                    let lock = self.procs[proc.0].current_lock;
+                } else {
                     self.value_seq += 1;
                     let release = self.cfg.scheme.release_op(self.lock_addr(lock), Word(self.value_seq));
                     self.procs[proc.0].phase = Phase::ReleaseWait;
                     WorkItem::Op(release)
                 }
-            },
+            }
             Phase::ReleaseWait => {
                 self.procs[proc.0].phase = Phase::ReleaseWait;
                 WorkItem::Idle
@@ -315,14 +314,11 @@ impl Workload for CriticalSectionWorkload {
                     LockStep::Acquired(_) => {
                         let started = self.procs[proc.0].acquire_started_at;
                         self.total_acquire_latency += now.saturating_sub(started);
-                        let lock = self.procs[proc.0].current_lock;
-                        let ops = self.critical_ops(lock);
-                        self.procs[proc.0].phase = Phase::Critical(ops);
+                        let base = self.value_seq;
+                        self.value_seq += self.cfg.payload_writes as u64;
+                        self.procs[proc.0].phase = Phase::Critical { next: 0, base };
                     }
                 }
-            }
-            Phase::Critical(ops) => {
-                self.procs[proc.0].phase = Phase::Critical(ops);
             }
             Phase::ReleaseWait => {
                 self.completed_sections += 1;
