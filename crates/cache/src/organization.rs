@@ -289,11 +289,6 @@ impl<S: LineState> Cache<S> {
         self.find_way(block).map(|idx| self.line_ref(idx))
     }
 
-    /// Mutable lookup.
-    pub fn lookup_mut(&mut self, block: BlockAddr) -> Option<LineMut<'_, S>> {
-        self.find_way(block).map(|idx| self.line_mut(idx))
-    }
-
     /// Whether a frame (valid or invalid copy) holds `block`.
     #[inline]
     pub fn is_resident(&self, block: BlockAddr) -> bool {

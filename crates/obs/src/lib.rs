@@ -35,7 +35,5 @@ pub mod timeline;
 
 pub use hist::{bucket_bounds, bucket_index, Hist64, LatencyHists, BUCKETS};
 pub use json::{escape_into, escaped, validate_line, ValidLine};
-pub use sink::{
-    event_json, event_json_into, CountingSink, EventSink, JsonlSink, RunMeta, SharedBuf,
-};
+pub use sink::{event_json, event_json_into, EventSink, JsonlSink, RunMeta, SharedBuf};
 pub use timeline::{IntervalSampler, Window, DEFAULT_WINDOW};

@@ -36,22 +36,6 @@ pub trait EventSink: Send {
     }
 }
 
-/// A sink that only counts, for overhead measurement and tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingSink {
-    /// Events observed.
-    pub events: u64,
-    /// Cycle of the last event.
-    pub last_cycle: u64,
-}
-
-impl EventSink for CountingSink {
-    fn record(&mut self, cycle: u64, _event: &Event) {
-        self.events += 1;
-        self.last_cycle = cycle;
-    }
-}
-
 /// A cheaply clonable in-memory byte buffer implementing [`io::Write`],
 /// for capturing JSONL output in tests and in-process tooling.
 #[derive(Debug, Default, Clone)]

@@ -83,8 +83,6 @@ pub struct MainMemory {
     blocks: FastMap<BlockAddr, Box<[Word]>>,
     holders: BlockMasks,
     stale: BlockMasks,
-    reads: u64,
-    writes: u64,
 }
 
 impl MainMemory {
@@ -96,8 +94,6 @@ impl MainMemory {
             blocks: FastMap::default(),
             holders: BlockMasks::new(caches),
             stale: BlockMasks::new(caches),
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -106,8 +102,7 @@ impl MainMemory {
     }
 
     /// Reads a whole block.
-    pub fn read_block(&mut self, block: BlockAddr) -> Box<[Word]> {
-        self.reads += 1;
+    pub fn read_block(&self, block: BlockAddr) -> Box<[Word]> {
         match self.blocks.get(&block) {
             Some(data) => data.clone(),
             None => self.zero_block(),
@@ -116,8 +111,7 @@ impl MainMemory {
 
     /// Reads a whole block without copying. Returns `None` when the block
     /// was never written (reads as zero); the caller zero-fills.
-    pub fn read_block_ref(&mut self, block: BlockAddr) -> Option<&[Word]> {
-        self.reads += 1;
+    pub fn read_block_ref(&self, block: BlockAddr) -> Option<&[Word]> {
         self.blocks.get(&block).map(|d| &**d)
     }
 
@@ -125,7 +119,6 @@ impl MainMemory {
     /// the block was written before.
     pub fn write_block(&mut self, block: BlockAddr, data: &[Word]) {
         debug_assert_eq!(data.len(), self.geometry.words_per_block());
-        self.writes += 1;
         match self.blocks.get_mut(&block) {
             Some(entry) => entry.copy_from_slice(data),
             None => {
@@ -201,10 +194,9 @@ impl MainMemory {
     }
 
     /// Reads one word.
-    pub fn read_word(&mut self, addr: Addr) -> Word {
+    pub fn read_word(&self, addr: Addr) -> Word {
         let block = self.geometry.block_of(addr);
         let offset = self.geometry.offset_of(addr);
-        self.reads += 1;
         self.blocks.get(&block).map(|d| d[offset]).unwrap_or(Word(0))
     }
 
@@ -212,7 +204,6 @@ impl MainMemory {
     pub fn write_word(&mut self, addr: Addr, value: Word) {
         let block = self.geometry.block_of(addr);
         let offset = self.geometry.offset_of(addr);
-        self.writes += 1;
         let words = self.geometry.words_per_block();
         let entry = self
             .blocks
@@ -227,16 +218,6 @@ impl MainMemory {
         let old = self.read_word(addr);
         self.write_word(addr, new);
         old
-    }
-
-    /// Number of block/word read operations serviced.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of block/word write operations serviced.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 
     /// The geometry this memory uses.
@@ -265,7 +246,7 @@ mod tests {
 
     #[test]
     fn unwritten_reads_zero() {
-        let mut m = mem();
+        let m = mem();
         assert_eq!(m.read_word(Addr(100)), Word(0));
         assert!(m.read_block(BlockAddr(9)).iter().all(|w| *w == Word(0)));
     }
@@ -306,7 +287,6 @@ mod tests {
         m.write_block(BlockAddr(3), &[Word(1), Word(2), Word(3), Word(4)]);
         let via_copy = m.read_block(BlockAddr(3));
         assert_eq!(m.read_block_ref(BlockAddr(3)).unwrap(), &via_copy[..]);
-        assert_eq!(m.reads(), 3);
     }
 
     #[test]
@@ -370,19 +350,5 @@ mod tests {
         m.remove_holder(b, 63);
         assert_eq!(words(&m, b, MainMemory::holders_word), [0, 0, 0]);
         assert!(m.masked_blocks().is_empty(), "emptied words drop their entries");
-    }
-
-    #[test]
-    fn counts_operations() {
-        let mut m = mem();
-        m.read_word(Addr(0));
-        m.write_word(Addr(0), Word(1));
-        m.read_block(BlockAddr(0));
-        m.write_block(BlockAddr(0), &[Word(0); 4]);
-        assert_eq!(m.reads(), 2);
-        // rmw counts one read and one write.
-        m.rmw_word(Addr(1), Word(2));
-        assert_eq!(m.reads(), 3);
-        assert_eq!(m.writes(), 3);
     }
 }
