@@ -2,7 +2,8 @@
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
 # test suite with debug-checks active, clippy with warnings denied (which
 # also rejects unwrap/expect/unreachable!/panic! in non-test mcs-sim,
-# mcs-obs and mcs-cache code), fault and observability smoke runs, and a
+# mcs-obs and mcs-cache code), rustdoc with warnings denied (a broken
+# intra-doc link fails), fault and observability smoke runs, and a
 # benchmark smoke that checks every simbench workload's golden digests and
 # a calibrated throughput floor on dense_sharing. No network access required or attempted.
 set -euo pipefail
@@ -33,6 +34,9 @@ cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --t
 # path in the engine, a sink or the cache store fails here: a closed pipe
 # cannot abort a run, and a broken invariant surfaces as a typed error.
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# Rustdoc warnings denied too: an intra-doc link to a renamed or deleted
+# item fails here instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # No process-global modes: a mutable static (an atomic, lock, once-cell
 # or cell, or `static mut`) in crate sources would let one caller steer

@@ -1,7 +1,7 @@
 //! The measured experiments E1–E13 (see `DESIGN.md` §5 for the index and
 //! `EXPERIMENTS.md` for paper-vs-measured).
 //!
-//! Every experiment returns a [`Report`](crate::report::Report); its tests
+//! Every experiment returns a [`Report`]; its tests
 //! assert the *shape* the paper claims (who wins, by what rough factor,
 //! where crossovers fall), never absolute cycle counts.
 
