@@ -1070,16 +1070,16 @@ impl<P: Protocol> System<P> {
         if op.kind.is_write() {
             pstats.writes += 1;
         }
+        let req = Request { op, retries: 0, wait_since: None, issued_at: self.now };
         match self.need(i, &op) {
             Need::Hit { state, next } => {
                 self.stats.per_proc[i].hits += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: true });
-                self.complete_locally(i, op, state, next, 0, self.now + 1, workload)
+                self.complete_locally(i, req, state, next, self.now + 1, workload)
             }
             need => {
                 self.stats.per_proc[i].misses += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-                let req = Request { op, retries: 0, wait_since: None, issued_at: self.now };
                 self.serve(i, req, need, self.now + 1, workload)
             }
         }
@@ -1105,10 +1105,7 @@ impl<P: Protocol> System<P> {
             h.miss_service.record(until - req.issued_at);
         }
         match need {
-            Need::Hit { state, next } => {
-                let waited = req.waited(self.now);
-                self.complete_locally(i, req.op, state, next, waited, until, workload)
-            }
+            Need::Hit { state, next } => self.complete_locally(i, req, state, next, until, workload),
             // An abort: the cache raises an exception and drops the store.
             _ => {
                 let result =
@@ -1122,21 +1119,20 @@ impl<P: Protocol> System<P> {
     }
 
     /// Performs the data/state effects of a local (no-bus) access, then
-    /// computes until `until`. `waited` is the lock-wait this access
-    /// accumulated before completing locally (nonzero only when a
-    /// queued/woken request converted into a hit), recorded against the
-    /// lock-acquire-wait histogram.
-    #[allow(clippy::too_many_arguments)]
+    /// computes until `until`. The lock wait `req` accumulated before
+    /// completing locally (nonzero only when a queued or woken request
+    /// turned into a hit) is recorded against the lock-acquire-wait
+    /// histogram.
     fn complete_locally<W: Workload>(
         &mut self,
         i: usize,
-        op: ProcOp,
+        req: Request,
         state: P::State,
         next: P::State,
-        waited: u64,
         until: u64,
         workload: &mut W,
     ) -> Result<(), SimError> {
+        let op = req.op;
         let block = self.geometry.block_of(op.addr);
         let before = state.descriptor();
         let after = next.descriptor();
@@ -1183,7 +1179,7 @@ impl<P: Protocol> System<P> {
             self.stats.locks.acquires += 1;
             self.stats.locks.zero_time_acquires += 1;
             if let Some(h) = &mut self.hists {
-                h.lock_acquire_wait.record(waited);
+                h.lock_acquire_wait.record(req.waited(self.now));
             }
             self.lock_oracle_acquire(block, CacheId(i))?;
             self.emit(self.now, || Event::LockAcquired {
