@@ -6,8 +6,8 @@
 
 use mcs_cache::CacheConfig;
 use mcs_model::{
-    AccessKind, Addr, BlockAddr, BusOp, BusTxn, CacheId, CompleteOutcome, FeatureSet, LineState,
-    Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
+    AccessKind, Addr, BlockAddr, BusOp, BusTxn, CacheId, CompleteOutcome, Event, FeatureSet,
+    LineState, Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
     StateDescriptor, Word,
 };
 use mcs_protocols::{Illinois, IllinoisState};
@@ -286,6 +286,48 @@ fn io_output_reads_latest_version_from_cache() {
     let data = s.io_output(BlockAddr(0), true).unwrap();
     assert_eq!(data[1], Word(77));
     assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), Msi::I);
+}
+
+/// I/O transfers are bus transactions like any other (Section E.2): a
+/// dirty copy's flush is emitted and counted, and every resident frame's
+/// bus-side directory looks the block up, a skipped stale one included.
+#[test]
+fn io_transfers_snoop_like_every_bus_transaction() {
+    let mut s = sys(2);
+    // P1's shared copy goes stale when P0 writes the block.
+    s.run(&mut ScriptWorkload::new(vec![
+        (ProcId(1), ProcOp::read(Addr(0))),
+        (ProcId(0), ProcOp::write(Addr(0), Word(5))),
+    ]), 10_000).unwrap();
+    assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), Msi::M);
+    assert_eq!(s.state_of(CacheId(1), BlockAddr(0)), Msi::I);
+    let bus_accesses = |s: &System<MiniMsi>| {
+        [0, 1].map(|c| s.directory_stats(CacheId(c)).bus_accesses)
+    };
+    let flushes = s.stats().sources.flushes;
+    let [c0, c1] = bus_accesses(&s);
+    let events = s.trace().len();
+
+    let data = s.io_output(BlockAddr(0), true).unwrap();
+    assert_eq!(data[0], Word(5));
+    let new_flushes: Vec<_> = s
+        .trace()
+        .iter()
+        .skip(events)
+        .filter(|(_, e)| matches!(e, Event::Flush { .. }))
+        .map(|(_, e)| e.clone())
+        .collect();
+    assert_eq!(new_flushes, [Event::Flush { cache: CacheId(0), block: BlockAddr(0) }]);
+    assert_eq!(s.stats().sources.flushes, flushes + 1);
+    assert_eq!(bus_accesses(&s), [c0 + 1, c1 + 1]);
+    // `stats()` holds the I/O's directory and per-op counts without a run.
+    assert_eq!(s.stats().directory.bus_accesses, c0 + c1 + 2);
+    assert_eq!(s.stats().bus.count("io-output-paging"), 1);
+
+    // Both copies are stale now; the input still charges both directories.
+    s.io_input(BlockAddr(0), &[Word(1), Word(2), Word(3), Word(4)]).unwrap();
+    assert_eq!(bus_accesses(&s), [c0 + 2, c1 + 2]);
+    assert_eq!(s.stats().bus.count("io-input"), 1);
 }
 
 #[test]
