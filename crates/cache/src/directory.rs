@@ -32,11 +32,6 @@ impl DirectoryModel {
         DirectoryModel { duality, stats: DirectoryStats::default() }
     }
 
-    /// The organization being modelled.
-    pub fn duality(&self) -> DirectoryDuality {
-        self.duality
-    }
-
     /// Records a processor-side directory access.
     pub fn proc_access(&mut self) {
         self.stats.proc_accesses += 1;
@@ -47,46 +42,33 @@ impl DirectoryModel {
         self.stats.bus_accesses += 1;
     }
 
-    /// Records a dirty-status update (write hit to a clean block) and
-    /// returns the interference cycles it costs the bus side.
-    pub fn dirty_status_update(&mut self) -> u64 {
+    /// Records a dirty-status update (write hit to a clean block) and the
+    /// interference cycles it costs the bus side.
+    pub fn dirty_status_update(&mut self) {
         self.stats.dirty_status_updates += 1;
-        let cost = match self.duality {
-            DirectoryDuality::IdenticalDual => 1,
-            DirectoryDuality::DualPortedRead => 1,
-            DirectoryDuality::NonIdenticalDual => 0,
-        };
-        self.stats.interference_cycles += cost;
-        cost
+        self.interfere();
     }
 
     /// Records a waiter-status update by the bus controller (lock-waiter
-    /// entry, Section E.3) and returns the interference cycles it costs the
+    /// entry, Section E.3) and the interference cycles it costs the
     /// processor side.
-    pub fn waiter_status_update(&mut self) -> u64 {
+    pub fn waiter_status_update(&mut self) {
         self.stats.waiter_status_updates += 1;
-        let cost = match self.duality {
-            DirectoryDuality::IdenticalDual => 1,
-            DirectoryDuality::DualPortedRead => 1,
+        self.interfere();
+    }
+
+    /// Charges the cycles one status update steals from the other side's
+    /// directory port: one, unless each status lives only on its own side.
+    fn interfere(&mut self) {
+        self.stats.interference_cycles += match self.duality {
+            DirectoryDuality::IdenticalDual | DirectoryDuality::DualPortedRead => 1,
             DirectoryDuality::NonIdenticalDual => 0,
         };
-        self.stats.interference_cycles += cost;
-        cost
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &DirectoryStats {
         &self.stats
-    }
-
-    /// Fraction of processor references that changed dirty status — the
-    /// quantity Bitar (1985) estimates at 0.2%–1.2% from Smith's data.
-    pub fn dirty_change_frequency(&self) -> f64 {
-        if self.stats.proc_accesses == 0 {
-            0.0
-        } else {
-            self.stats.dirty_status_updates as f64 / self.stats.proc_accesses as f64
-        }
     }
 }
 
@@ -97,8 +79,9 @@ mod tests {
     #[test]
     fn identical_dual_charges_interference() {
         let mut d = DirectoryModel::new(DirectoryDuality::IdenticalDual);
-        assert_eq!(d.dirty_status_update(), 1);
-        assert_eq!(d.waiter_status_update(), 1);
+        d.dirty_status_update();
+        assert_eq!(d.stats().interference_cycles, 1);
+        d.waiter_status_update();
         assert_eq!(d.stats().interference_cycles, 2);
         assert_eq!(d.stats().dirty_status_updates, 1);
         assert_eq!(d.stats().waiter_status_updates, 1);
@@ -107,8 +90,8 @@ mod tests {
     #[test]
     fn non_identical_dual_eliminates_interference() {
         let mut d = DirectoryModel::new(DirectoryDuality::NonIdenticalDual);
-        assert_eq!(d.dirty_status_update(), 0);
-        assert_eq!(d.waiter_status_update(), 0);
+        d.dirty_status_update();
+        d.waiter_status_update();
         assert_eq!(d.stats().interference_cycles, 0);
         // Events are still counted even though they cost nothing.
         assert_eq!(d.stats().dirty_status_updates, 1);
@@ -117,22 +100,10 @@ mod tests {
     #[test]
     fn dual_ported_read_interferes_on_writes() {
         let mut d = DirectoryModel::new(DirectoryDuality::DualPortedRead);
-        assert_eq!(d.dirty_status_update(), 1);
+        d.dirty_status_update();
         assert_eq!(d.stats().interference_cycles, 1);
-    }
-
-    #[test]
-    fn dirty_change_frequency() {
-        let mut d = DirectoryModel::new(DirectoryDuality::IdenticalDual);
-        for _ in 0..1000 {
-            d.proc_access();
-        }
-        for _ in 0..5 {
-            d.dirty_status_update();
-        }
-        assert!((d.dirty_change_frequency() - 0.005).abs() < 1e-12);
-        let empty = DirectoryModel::new(DirectoryDuality::IdenticalDual);
-        assert_eq!(empty.dirty_change_frequency(), 0.0);
+        d.waiter_status_update();
+        assert_eq!(d.stats().interference_cycles, 2);
     }
 
     #[test]
@@ -143,6 +114,5 @@ mod tests {
         d.bus_access();
         assert_eq!(d.stats().proc_accesses, 1);
         assert_eq!(d.stats().bus_accesses, 2);
-        assert_eq!(d.duality(), DirectoryDuality::NonIdenticalDual);
     }
 }
