@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
-# test suite with debug-checks active, clippy with warnings denied (which
+# test suite with debug-checks active and its golden, equivalence and
+# snoop-filter tests again without them, clippy with warnings denied (which
 # also rejects unwrap/expect/unreachable!/panic! in non-test mcs-sim,
 # mcs-obs and mcs-cache code), rustdoc with warnings denied (a broken
 # intra-doc link fails), fault and observability smoke runs, and a
@@ -25,10 +26,12 @@ cargo build --release --offline -p mcs-bench
 # transaction runs the write oracle, the snoop-filter exactness sweep, and
 # the replacement recency-ring consistency check.
 cargo test -q --offline --workspace
-# The same golden digests and engine-mode equivalence with debug-checks
-# compiled out: the configuration simbench ships. Code on
-# both sides of `cfg!(feature = "debug-checks")` must give the same runs.
-cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence
+# The same golden digests, engine-mode equivalence and whole-state
+# snoop-filter mask checks (across I/O transfers, and at 130 and 256
+# processors) with debug-checks compiled out: the configuration simbench
+# ships. Code on both sides of `cfg!(feature = "debug-checks")` must give
+# the same runs and keep the masks exact.
+cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence --test snoop_filter
 # Warnings denied. mcs-sim, mcs-obs and mcs-cache warn on
 # `unwrap`/`expect`/`unreachable!`/`panic!` outside tests, so a panicking
 # path in the engine, a sink or the cache store fails here: a closed pipe
