@@ -142,12 +142,26 @@ fn run_on<W: Workload>(
         let mut sys = System::new(p, cfg).expect("valid system");
         let report = sys.run(&mut workload, MAX_CYCLES).unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert!(report.completed, "{kind} on {procs} processors did not complete");
+        assert_counter_laws(kind, &report.stats);
         Outcome {
             stats: report.stats,
             faults: report.faults,
             directories: (0..procs).map(|c| sys.directory_stats(CacheId(c)).clone()).collect(),
         }
     })
+}
+
+/// Laws every run's counters keep: each reference is a hit or a miss, and
+/// zero-time (cache-hit) lock operations are a subset of all of them, as
+/// releases are of acquires.
+fn assert_counter_laws(kind: ProtocolKind, stats: &Stats) {
+    for (i, p) in stats.per_proc.iter().enumerate() {
+        assert_eq!(p.refs, p.hits + p.misses, "{kind}: P{i} refs != hits + misses");
+    }
+    let l = &stats.locks;
+    assert!(l.zero_time_acquires <= l.acquires, "{kind}: zero-time acquires exceed acquires: {l:?}");
+    assert!(l.zero_time_releases <= l.releases, "{kind}: zero-time releases exceed releases: {l:?}");
+    assert!(l.releases <= l.acquires, "{kind}: releases exceed acquires: {l:?}");
 }
 
 /// An I/O script on every protocol: copies spread and go stale under
