@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
-# test suite with debug-checks active and its golden, equivalence and
-# snoop-filter tests again without them, clippy with warnings denied (which
+# test suite with debug-checks active and its golden, equivalence,
+# snoop-filter and JSONL-digest tests again without them, clippy with warnings denied (which
 # also rejects unwrap/expect/unreachable!/panic! in non-test mcs-sim,
 # mcs-obs and mcs-cache code), rustdoc with warnings denied (a broken
 # intra-doc link fails), fault and observability smoke runs, and a
@@ -32,6 +32,10 @@ cargo test -q --offline --workspace
 # ships. Code on both sides of `cfg!(feature = "debug-checks")` must give
 # the same runs and keep the masks exact.
 cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence --test snoop_filter
+# The JSONL digests of the ten E2 streams and the fault stream, which pin
+# the order of the state-change, lock and bus events. mcs-bench alone
+# builds the simulator without debug-checks, as simbench does.
+cargo test -q --offline -p mcs-bench --test obs_smoke
 # Warnings denied. mcs-sim, mcs-obs and mcs-cache warn on
 # `unwrap`/`expect`/`unreachable!`/`panic!` outside tests, so a panicking
 # path in the engine, a sink or the cache store fails here: a closed pipe
