@@ -1,7 +1,8 @@
 //! Cache organization for the `mcs` simulator: tagged data stores with LRU
 //! replacement, the directory-duality interference model of the paper's
-//! Feature 3, the **busy-wait register** of Section E.4, and optional
-//! sub-block *transfer units* (Section D.3).
+//! Feature 3, and optional sub-block *transfer units* (Section D.3). The
+//! busy-wait register of Section E.4 is engine state in `mcs-sim`: a
+//! processor's waiting phase and its watch and woken bits.
 //!
 //! A cache here is a passive tagged store; all coherence decisions are made
 //! by a [`Protocol`](mcs_model::Protocol) and all bus mechanics by
@@ -31,13 +32,11 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
 )]
 
-mod busywait;
 mod config;
 mod directory;
 mod error;
 mod organization;
 
-pub use busywait::{BusyWaitRegister, BwPhase};
 pub use config::CacheConfig;
 pub use directory::DirectoryModel;
 pub use error::CacheError;
