@@ -6,7 +6,7 @@
 
 use mcs::cache::CacheConfig;
 use mcs::core::{BitarDespain, BitarState};
-use mcs::model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
+use mcs::model::{Addr, BlockAddr, CacheId, Event, ProcId, ProcOp, Word};
 use mcs::sim::{ParallelScriptWorkload, ScriptStep, ScriptWorkload, System, SystemConfig};
 
 /// A one-frame cache: any second block forces the locked block out.
@@ -116,4 +116,52 @@ fn spill_contention_remains_mutually_exclusive() {
     assert_eq!(stats.locks.releases, 6);
     assert!(stats.locks.lock_spills >= 3);
     assert_eq!(stats.bus.retries, 0);
+}
+
+#[test]
+fn spilled_lock_denies_before_the_holder_snoops() {
+    // C0 spills its lock bit, then re-reads and writes the block, holding
+    // it write-source-dirty while the bit stays in memory. The bit denies
+    // C1's lock fetch before any cache snoops it, just as a locked line
+    // would, so C0 keeps its dirty copy through the denial.
+    let mut s = tiny_system(2);
+    let mut w = ParallelScriptWorkload::new()
+        .program(ProcId(0), vec![
+            ScriptStep::Op(ProcOp::lock_read(Addr(0))),
+            ScriptStep::Op(ProcOp::read(Addr(16))), // spill the lock bit
+            ScriptStep::Op(ProcOp::read(Addr(0))),
+            ScriptStep::Op(ProcOp::write(Addr(1), Word(5))),
+            ScriptStep::Compute(200),
+            ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(7))),
+        ])
+        .program(ProcId(1), vec![
+            ScriptStep::Compute(100),
+            ScriptStep::Op(ProcOp::lock_read(Addr(0))), // denied by the memory bit
+            ScriptStep::Op(ProcOp::unlock_write(Addr(0), Word(8))),
+        ]);
+    assert!(s.run(&mut w, 50_000).unwrap().completed);
+    assert_eq!(s.stats().locks.lock_spills, 1);
+    assert_eq!(s.stats().locks.denied, 1);
+
+    // C0's state for block 0 as the trace tells it, at the start of each
+    // cycle and at the denial.
+    let (mut state, mut at_cycle_start, mut cycle) = ("I", "I", 0);
+    let mut at_denial = None;
+    for (t, event) in s.trace().iter() {
+        if *t != cycle {
+            (cycle, at_cycle_start) = (*t, state);
+        }
+        match *event {
+            Event::StateChange { cache: CacheId(0), block: BlockAddr(0), to, .. } => state = to,
+            Event::LockDenied { cache: CacheId(1), block: BlockAddr(0) } => {
+                at_denial = Some((at_cycle_start, state));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(at_denial, Some(("WSD", "WSD")), "C0's copy must survive C1's denied fetch");
+
+    let mut script = ScriptWorkload::new(vec![(ProcId(1), ProcOp::read(Addr(1)))]);
+    s.run(&mut script, 10_000).unwrap();
+    assert_eq!(script.results()[0].2.value, Some(Word(5)));
 }
