@@ -82,7 +82,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("bitar-despain/rs/4/8x4", 0xe1d61096f6ae4905),
     ("goodman/rs/4/8x4", 0x4e6acbaa1614f95c),
     ("bitar-despain/cache-lock/4/2x2", 0x3b6e3768af4b134b),
-    ("bitar-despain/cache-lock/4/2x1", 0x8ea004d6243d7945),
+    ("bitar-despain/cache-lock/4/2x1", 0x05cd0f37a75ad29f),
 ];
 
 /// 64-bit FNV-1a.
