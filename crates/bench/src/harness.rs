@@ -146,7 +146,7 @@ impl RunSpec {
             }
             let (stats, completed, error) = match sys.run(workload, self.max_cycles) {
                 Ok(report) => (report.stats, report.completed, None),
-                Err(e) => (sys.stats().clone(), false, Some(e)),
+                Err(e) => (sys.stats(), false, Some(e)),
             };
             sys.finish_sinks();
             let error = error.or_else(|| sys.sink_error());
