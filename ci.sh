@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
 # test suite with debug-checks active and its golden, equivalence,
-# snoop-filter and JSONL-digest tests again without them, clippy with warnings denied (which
-# also rejects unwrap/expect/unreachable!/panic! in non-test mcs-sim,
-# mcs-obs and mcs-cache code), rustdoc with warnings denied (a broken
+# snoop-filter, engine, fault and JSONL-digest tests again without them,
+# clippy with warnings denied (which also rejects
+# unwrap/expect/unreachable!/panic! in non-test mcs-sim, mcs-obs and
+# mcs-cache code), rustdoc with warnings denied (a broken
 # intra-doc link fails), fault and observability smoke runs, and a
 # benchmark smoke that checks every simbench workload's golden digests and
 # a calibrated throughput floor on dense_sharing. No network access required or attempted.
@@ -26,12 +27,14 @@ cargo build --release --offline -p mcs-bench
 # transaction runs the write oracle, the snoop-filter exactness sweep, and
 # the replacement recency-ring consistency check.
 cargo test -q --offline --workspace
-# The same golden digests, engine-mode equivalence and whole-state
+# The same golden digests, engine-mode equivalence, whole-state
 # snoop-filter mask checks (across I/O transfers, and at 130 and 256
-# processors) with debug-checks compiled out: the configuration simbench
-# ships. Code on both sides of `cfg!(feature = "debug-checks")` must give
-# the same runs and keep the masks exact.
-cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence --test snoop_filter
+# processors), and the engine and fault suites (busy-wait register wakes,
+# timeouts, lost unlock broadcasts) with debug-checks compiled out: the
+# configuration simbench ships. Code on both sides of
+# `cfg!(feature = "debug-checks")` must give the same runs and keep the
+# masks exact.
+cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --test equivalence --test snoop_filter --test engine --test faults
 # The JSONL digests of the ten E2 streams and the fault stream, which pin
 # the order of the state-change, lock and bus events. mcs-bench alone
 # builds the simulator without debug-checks, as simbench does.
