@@ -213,7 +213,7 @@ pub fn fig8() -> Figure {
     Figure { number: 8, caption: "Unlocking a Block", body }
 }
 
-/// Figure 9: ending busy wait — woken registers re-arbitrate at the
+/// Figure 9: ending busy wait — woken waiters re-arbitrate at the
 /// reserved priority; the winner locks with the waiter state, the losers
 /// stay off the bus; **no unsuccessful retries ever reach the bus**.
 pub fn fig9() -> Figure {
@@ -242,7 +242,7 @@ pub fn fig9() -> Figure {
     assert_eq!(stats.locks.releases, 4);
     assert_eq!(stats.locks.denied, 3, "three waiters were denied once each");
     assert!(stats.locks.wakeups >= 3);
-    assert!(stats.bus.high_priority_grants >= 3, "woken registers use the reserved priority");
+    assert!(stats.bus.high_priority_grants >= 3, "woken waiters use the reserved priority");
     assert_eq!(stats.bus.retries, 0, "no unsuccessful retries from the bus");
     // The winner of each wake-up locks with the waiter state.
     let rendered = s.trace().render();

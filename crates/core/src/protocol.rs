@@ -31,7 +31,7 @@
 //!   register;
 //! * **Fig 8** — unlocking is the final write; it is free unless a waiter
 //!   was recorded, in which case the unlock is broadcast;
-//! * **Fig 9** — woken busy-wait registers re-arbitrate at the reserved
+//! * **Fig 9** — woken lock waiters re-arbitrate at the reserved
 //!   highest priority; the winner locks with the waiter state, the losers
 //!   stay off the bus;
 //! * atomic read-modify-writes use the lock state (Feature 6, method 4),
@@ -371,7 +371,7 @@ impl Protocol for BitarDespain {
                 }
             }
             // Unlock broadcasts carry no state effect for other caches;
-            // the busy-wait registers (engine-side) observe them.
+            // the engine's busy-wait register observes them.
             _ => SnoopOutcome::ignore(state),
         }
     }

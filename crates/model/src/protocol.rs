@@ -13,7 +13,7 @@
 //!
 //! The simulator (`mcs-sim`) is generic over `P: Protocol` and owns all
 //! mechanism that is *not* protocol-specific: arbitration, timing, data
-//! movement, the busy-wait registers, and the coherence oracles.
+//! movement, busy waiting, and the coherence oracles.
 
 use crate::bus::{BusOp, BusTxn, SnoopReply, SnoopSummary};
 use crate::features::FeatureSet;

@@ -81,7 +81,7 @@ pub struct BusStats {
     /// Unlock broadcasts issued (lock-waiter state, Figure 8).
     pub unlock_broadcasts: u64,
     /// Transactions issued with the reserved high-priority bit
-    /// (busy-wait registers re-acquiring, Figure 9).
+    /// (woken lock waiters re-acquiring, Figure 9).
     pub high_priority_grants: u64,
     /// Spurious bus NAKs injected by the fault layer. Always zero in
     /// fault-free runs.

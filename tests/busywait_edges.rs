@@ -1,6 +1,6 @@
 //! Edge cases of the busy-wait machinery (Sections E.3–E.4) beyond the
 //! figures: non-lock requests hitting locked blocks, multiple recorded
-//! waiters, priority of woken registers over normal requests, and the
+//! waiters, priority of woken waiters over normal requests, and the
 //! zero-time paths interleaved with contention.
 
 use mcs::core::{BitarDespain, BitarState};

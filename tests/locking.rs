@@ -50,7 +50,7 @@ fn no_unsuccessful_retries_ever_reach_the_bus() {
 
 #[test]
 fn starvation_freedom_every_processor_finishes() {
-    // With fair round-robin among woken registers, every processor must
+    // With fair round-robin among woken waiters, every processor must
     // complete all its sections even at maximal contention.
     let (_, sections, _) = run_cs(BitarDespain, 10, LockSchemeKind::CacheLock, 8);
     assert_eq!(sections, 80);
