@@ -80,9 +80,6 @@ pub enum BusOp {
     /// only issued when the unlocking cache held the block in the
     /// lock-waiter state.
     UnlockBroadcast,
-    /// Write a dirty block back to main memory (eviction, or a snoop-forced
-    /// flush).
-    Flush,
     /// Execute an atomic read-modify-write at the memory module, holding the
     /// module for the duration (Feature 6, method 1).
     MemoryRmw,
@@ -100,7 +97,7 @@ pub enum BusOp {
 
 impl BusOp {
     /// Every request code, one per mnemonic.
-    pub const ALL: [BusOp; 19] = [
+    pub const ALL: [BusOp; 18] = [
         BusOp::Fetch { privilege: Privilege::Read, need_data: true },
         BusOp::Fetch { privilege: Privilege::Read, need_data: false },
         BusOp::Fetch { privilege: Privilege::Write, need_data: true },
@@ -115,7 +112,6 @@ impl BusOp {
         BusOp::UpdateWord { to_memory: true },
         BusOp::ClaimNoFetch,
         BusOp::UnlockBroadcast,
-        BusOp::Flush,
         BusOp::MemoryRmw,
         BusOp::IoInput,
         BusOp::IoOutput { paging: true },
@@ -126,10 +122,7 @@ impl BusOp {
     pub fn transfers_block(self) -> bool {
         matches!(
             self,
-            BusOp::Fetch { need_data: true, .. }
-                | BusOp::Flush
-                | BusOp::IoInput
-                | BusOp::IoOutput { .. }
+            BusOp::Fetch { need_data: true, .. } | BusOp::IoInput | BusOp::IoOutput { .. }
         )
     }
 
@@ -160,7 +153,6 @@ impl BusOp {
             BusOp::UpdateWord { to_memory: true } => "update-word-mem",
             BusOp::ClaimNoFetch => "claim-no-fetch",
             BusOp::UnlockBroadcast => "unlock-bcast",
-            BusOp::Flush => "flush",
             BusOp::MemoryRmw => "memory-rmw",
             BusOp::IoInput => "io-input",
             BusOp::IoOutput { paging: true } => "io-output-paging",
@@ -278,13 +270,11 @@ mod tests {
     fn classification_of_ops() {
         assert!(BusOp::Fetch { privilege: Privilege::Read, need_data: true }.transfers_block());
         assert!(!BusOp::Fetch { privilege: Privilege::Write, need_data: false }.transfers_block());
-        assert!(BusOp::Flush.transfers_block());
         assert!(BusOp::WriteWord { target: UpdateTarget::Invalidate }.transfers_word());
         assert!(BusOp::UpdateWord { to_memory: true }.transfers_word());
         assert!(BusOp::Invalidate.is_signal());
         assert!(BusOp::UnlockBroadcast.is_signal());
         assert!(BusOp::ClaimNoFetch.is_signal());
-        assert!(!BusOp::Flush.is_signal());
         assert!(BusOp::IoInput.transfers_block());
         assert!(BusOp::IoOutput { paging: false }.transfers_block());
     }

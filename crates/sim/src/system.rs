@@ -326,11 +326,10 @@ fn op_slot(op: BusOp) -> usize {
         BusOp::UpdateWord { to_memory: true } => 11,
         BusOp::ClaimNoFetch => 12,
         BusOp::UnlockBroadcast => 13,
-        BusOp::Flush => 14,
-        BusOp::MemoryRmw => 15,
-        BusOp::IoInput => 16,
-        BusOp::IoOutput { paging: true } => 17,
-        BusOp::IoOutput { paging: false } => 18,
+        BusOp::MemoryRmw => 14,
+        BusOp::IoInput => 15,
+        BusOp::IoOutput { paging: true } => 16,
+        BusOp::IoOutput { paging: false } => 17,
     }
 }
 
@@ -1803,22 +1802,6 @@ impl<P: Protocol> System<P> {
             BusOp::MemoryRmw => {
                 self.stats.bus.words_transferred += 1;
                 duration = self.timing.memory_rmw();
-            }
-            BusOp::Flush => {
-                if self.caches[req].is_resident(block) {
-                    let Some(data) = self.caches[req].data_of(block) else {
-                        return Err(SimError::EngineInvariant {
-                            context: "bus flush from a cache with no data for the line",
-                            cycle: self.now,
-                            cache: CacheId(req),
-                            block,
-                        });
-                    };
-                    self.memory.write_block(block, data);
-                    self.caches[req].clear_unit_dirty(block);
-                }
-                self.stats.sources.flushes += 1;
-                duration = self.timing.flush(words);
             }
             BusOp::IoInput | BusOp::IoOutput { .. } => {
                 // I/O transactions are issued through `io_input`/`io_output`,
