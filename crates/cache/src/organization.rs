@@ -585,47 +585,15 @@ impl<S: LineState> Cache<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_model::{Privilege, StateDescriptor};
-    use std::fmt;
+    use mcs_model::line_states;
 
-    /// A minimal test state: Invalid / Read / Write / Lock.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    enum TS {
-        I,
-        R,
-        W,
-        L,
-    }
-
-    impl fmt::Display for TS {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str(self.name())
-        }
-    }
-
-    impl LineState for TS {
-        fn invalid() -> Self {
-            TS::I
-        }
-        fn descriptor(&self) -> StateDescriptor {
-            let privilege = match self {
-                TS::I => None,
-                TS::R => Some(Privilege::Read),
-                TS::W => Some(Privilege::Write),
-                TS::L => Some(Privilege::Lock),
-            };
-            StateDescriptor { privilege, source: false, dirty: false, waiter: false }
-        }
-        fn all() -> &'static [Self] {
-            &[TS::I, TS::R, TS::W, TS::L]
-        }
-        fn name(&self) -> &'static str {
-            match self {
-                TS::I => "I",
-                TS::R => "R",
-                TS::W => "W",
-                TS::L => "L",
-            }
+    line_states! {
+        /// A minimal test state: Invalid / Read / Write / Lock.
+        enum TS {
+            I = "I",
+            R = "R" (Read),
+            W = "W" (Write),
+            L = "L" (Lock),
         }
     }
 

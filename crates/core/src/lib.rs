@@ -29,6 +29,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test protocol and table code must not panic: the engine calls it on every
+// transaction. Tests keep their unwraps. CI promotes these warnings to
+// errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 mod protocol;
 mod registry;

@@ -40,121 +40,33 @@
 //!   (Feature 9).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod,
-    SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor,
-    WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, DistributedState,
+    EvictAction, FeatureSet, FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod,
+    SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// The eight cache-line states of the Bitar-Despain protocol (Section E.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BitarState {
-    /// Meaningless.
-    Invalid,
-    /// Read-only privilege; some other cache (or memory) is the source.
-    Read,
-    /// Read privilege; this cache is the source; memory is current.
-    ReadSourceClean,
-    /// Read privilege; this cache is the source of a dirty block.
-    ReadSourceDirty,
-    /// Sole-access privilege; source; memory current (unshared fetch that
-    /// has not been written yet — Figure 1).
-    WriteSourceClean,
-    /// Sole-access privilege; source; dirty.
-    WriteSourceDirty,
-    /// Locked by this cache; source; dirty.
-    LockSourceDirty,
-    /// Locked, and another processor requested the block while locked —
-    /// the unlock must be broadcast (Figure 8).
-    LockSourceDirtyWaiter,
-}
-
-impl fmt::Display for BitarState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for BitarState {
-    fn invalid() -> Self {
-        BitarState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        use BitarState::*;
-        match self {
-            Invalid => StateDescriptor::INVALID,
-            Read => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            ReadSourceClean => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: true,
-                dirty: false,
-                waiter: false,
-            },
-            ReadSourceDirty => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-            WriteSourceClean => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: false,
-                waiter: false,
-            },
-            WriteSourceDirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-            LockSourceDirty => StateDescriptor {
-                privilege: Some(Privilege::Lock),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-            LockSourceDirtyWaiter => StateDescriptor {
-                privilege: Some(Privilege::Lock),
-                source: true,
-                dirty: true,
-                waiter: true,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        use BitarState::*;
-        &[
-            Invalid,
-            Read,
-            ReadSourceClean,
-            ReadSourceDirty,
-            WriteSourceClean,
-            WriteSourceDirty,
-            LockSourceDirty,
-            LockSourceDirtyWaiter,
-        ]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            BitarState::Invalid => "I",
-            BitarState::Read => "R",
-            BitarState::ReadSourceClean => "RSC",
-            BitarState::ReadSourceDirty => "RSD",
-            BitarState::WriteSourceClean => "WSC",
-            BitarState::WriteSourceDirty => "WSD",
-            BitarState::LockSourceDirty => "LSD",
-            BitarState::LockSourceDirtyWaiter => "LSDW",
-        }
+line_states! {
+    /// The eight cache-line states of the Bitar-Despain protocol (Section E.1).
+    #[derive(PartialOrd, Ord)]
+    pub enum BitarState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Read-only privilege; some other cache (or memory) is the source.
+        Read = "R" (Read),
+        /// Read privilege; this cache is the source; memory is current.
+        ReadSourceClean = "RSC" (Read, source),
+        /// Read privilege; this cache is the source of a dirty block.
+        ReadSourceDirty = "RSD" (Read, source, dirty),
+        /// Sole-access privilege; source; memory current (unshared fetch that
+        /// has not been written yet — Figure 1).
+        WriteSourceClean = "WSC" (Write, source),
+        /// Sole-access privilege; source; dirty.
+        WriteSourceDirty = "WSD" (Write, source, dirty),
+        /// Locked by this cache; source; dirty.
+        LockSourceDirty = "LSD" (Lock, source, dirty),
+        /// Locked, and another processor requested the block while locked —
+        /// the unlock must be broadcast (Figure 8).
+        LockSourceDirtyWaiter = "LSDW" (Lock, source, dirty, waiter),
     }
 }
 

@@ -150,7 +150,7 @@ macro_rules! with_protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_model::{LineState, Protocol};
+    use mcs_model::{LineState, Protocol, StateDescriptor};
 
     #[test]
     fn ids_roundtrip() {
@@ -183,9 +183,17 @@ mod tests {
     }
 
     /// Every protocol's state names: one per state, what `Display`
-    /// prints, and safe to write into JSON unescaped.
+    /// prints, and safe to write into JSON unescaped. The table's first
+    /// row is `invalid()`, described as `StateDescriptor::INVALID`, and
+    /// no other row is invalid.
     fn state_names<P: Protocol>(_: &P) -> Vec<&'static str> {
         let all = <P::State as LineState>::all();
+        let invalid = <P::State as LineState>::invalid();
+        assert_eq!(all.first(), Some(&invalid), "invalid() is not all()[0]");
+        assert_eq!(invalid.descriptor(), StateDescriptor::INVALID, "{invalid:?}");
+        for state in &all[1..] {
+            assert!(state.descriptor().is_valid(), "{state:?}: a second invalid state");
+        }
         let names: Vec<_> = all.iter().map(LineState::name).collect();
         for (state, name) in all.iter().zip(&names) {
             assert_eq!(state.to_string(), *name, "{state:?}: name differs from Display");

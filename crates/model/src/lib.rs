@@ -29,6 +29,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test model code must not panic: the engine calls it on every
+// transaction. Tests keep their unwraps. CI promotes these warnings to
+// errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 pub mod bus;
 pub mod error;

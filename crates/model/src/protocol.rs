@@ -123,7 +123,8 @@ impl fmt::Display for StateDescriptor {
     }
 }
 
-/// Implemented by each protocol's cache-line state enum.
+/// Implemented by each protocol's cache-line state enum, through one
+/// [`line_states!`](crate::line_states) table.
 pub trait LineState:
     Copy + Eq + Hash + fmt::Debug + fmt::Display + Send + Sync + 'static
 {
@@ -138,9 +139,117 @@ pub trait LineState:
     fn all() -> &'static [Self];
 
     /// The state's short name (`"I"`, `"RSD"`, ...): what `Display`
-    /// prints and what traces record. Each protocol keeps its names in
-    /// this one table.
+    /// prints and what traces record.
     fn name(&self) -> &'static str;
+}
+
+/// Declares a protocol's cache-line states as one table, one row per
+/// state, and implements [`LineState`] and `Display` from it.
+///
+/// The first row is the invalid state and gives only its short name. Every
+/// other row gives the short name, the privilege held (`Read`, `Write` or
+/// `Lock`) and the [`StateDescriptor`] flags that are set (`source`,
+/// `dirty`, `waiter`), the way Table 1 and Section E.1 name a state. Doc
+/// comments on the rows and attributes on the enum (a further `#[derive]`)
+/// pass through. The macro generates:
+///
+/// * the enum, deriving `Debug, Clone, Copy, PartialEq, Eq, Hash`;
+/// * [`LineState`]: `invalid()` is the first row, `all()` lists the rows in
+///   order, and `descriptor()` and `name()` are one `match` each;
+/// * `Display`, which prints `name()`.
+///
+/// ```
+/// use mcs_model::{line_states, LineState, Privilege, StateDescriptor};
+///
+/// line_states! {
+///     /// A three-state write-back protocol.
+///     #[derive(PartialOrd, Ord)]
+///     pub enum Msi {
+///         /// Meaningless.
+///         Invalid = "I",
+///         /// A clean, possibly shared copy.
+///         Shared = "S" (Read),
+///         /// The modified sole copy, and the block's source.
+///         Modified = "M" (Write, source, dirty),
+///     }
+/// }
+///
+/// assert_eq!(Msi::invalid(), Msi::Invalid);
+/// assert_eq!(Msi::all(), [Msi::Invalid, Msi::Shared, Msi::Modified]);
+/// assert_eq!(Msi::Modified.name(), "M");
+/// assert_eq!(Msi::Shared.to_string(), "S");
+/// assert_eq!(Msi::Invalid.descriptor(), StateDescriptor::INVALID);
+/// assert_eq!(
+///     Msi::Shared.descriptor(),
+///     StateDescriptor { privilege: Some(Privilege::Read), source: false, dirty: false, waiter: false },
+/// );
+/// assert_eq!(Msi::Modified.descriptor().to_string(), "Write, Source, Dirty");
+/// assert!(Msi::Shared < Msi::Modified);
+/// ```
+#[macro_export]
+macro_rules! line_states {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(#[$invalid_meta:meta])*
+            $invalid:ident = $invalid_name:literal,
+            $(
+                $(#[$row_meta:meta])*
+                $state:ident = $state_name:literal ($privilege:ident $(, $flag:ident)*)
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        $vis enum $name {
+            $(#[$invalid_meta])*
+            $invalid,
+            $($(#[$row_meta])* $state,)*
+        }
+
+        impl ::core::fmt::Display for $name {
+            fn fmt(&self, f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {
+                f.write_str($crate::LineState::name(self))
+            }
+        }
+
+        impl $crate::LineState for $name {
+            fn invalid() -> Self {
+                $name::$invalid
+            }
+
+            fn descriptor(&self) -> $crate::StateDescriptor {
+                match self {
+                    $name::$invalid => $crate::StateDescriptor::INVALID,
+                    // Each row's descriptor is a constant. The flags are set
+                    // one at a time: a struct update that names every field
+                    // (a lock-waiter row) trips clippy's `needless_update`.
+                    $($name::$state => {
+                        const ROW: $crate::StateDescriptor = {
+                            let mut d = $crate::StateDescriptor {
+                                privilege: ::core::option::Option::Some($crate::Privilege::$privilege),
+                                ..$crate::StateDescriptor::INVALID
+                            };
+                            $(d.$flag = true;)*
+                            d
+                        };
+                        ROW
+                    })*
+                }
+            }
+
+            fn all() -> &'static [Self] {
+                &[$name::$invalid, $($name::$state,)*]
+            }
+
+            fn name(&self) -> &'static str {
+                match self {
+                    $name::$invalid => $invalid_name,
+                    $($name::$state => $state_name,)*
+                }
+            }
+        }
+    };
 }
 
 /// Outcome of presenting a processor access to a line (entry point 1).

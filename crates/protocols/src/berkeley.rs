@@ -18,88 +18,26 @@
 //!   (Feature 6).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod,
-    SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor,
-    WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, DistributedState,
+    EvictAction, FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod,
+    SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Berkeley protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BerkeleyState {
-    /// Meaningless.
-    Invalid,
-    /// Shared: read privilege, non-source.
-    Shared,
-    /// Shared-dirty (the "dirty read" state): read privilege, dirty,
-    /// source — entered when another cache reads this cache's dirty block.
-    SharedDirty,
-    /// Write-clean: exclusive clean with source status (via read-for-write).
-    WriteClean,
-    /// Dirty: modified sole copy, source.
-    Dirty,
-}
-
-impl fmt::Display for BerkeleyState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for BerkeleyState {
-    fn invalid() -> Self {
-        BerkeleyState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            BerkeleyState::Invalid => StateDescriptor::INVALID,
-            BerkeleyState::Shared => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            BerkeleyState::SharedDirty => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-            BerkeleyState::WriteClean => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true, // Table 1 gives the clean write state source status
-                dirty: false,
-                waiter: false,
-            },
-            BerkeleyState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[
-            BerkeleyState::Invalid,
-            BerkeleyState::Shared,
-            BerkeleyState::SharedDirty,
-            BerkeleyState::WriteClean,
-            BerkeleyState::Dirty,
-        ]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            BerkeleyState::Invalid => "I",
-            BerkeleyState::Shared => "S",
-            BerkeleyState::SharedDirty => "SD",
-            BerkeleyState::WriteClean => "WC",
-            BerkeleyState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Berkeley protocol.
+    pub enum BerkeleyState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Shared: read privilege, non-source.
+        Shared = "S" (Read),
+        /// Shared-dirty (the "dirty read" state): read privilege, dirty,
+        /// source — entered when another cache reads this cache's dirty block.
+        SharedDirty = "SD" (Read, source, dirty),
+        /// Write-clean: exclusive clean with source status (via read-for-write);
+        /// Table 1 gives the clean write state source status.
+        WriteClean = "WC" (Write, source),
+        /// Dirty: modified sole copy, source.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

@@ -9,87 +9,25 @@
 //! responsibility); a write to an exclusive block is purely local.
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
-    SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
+    SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Dragon protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DragonState {
-    /// Meaningless.
-    Invalid,
-    /// Exclusive clean: sole copy, memory current.
-    Exclusive,
-    /// Shared clean: other copies may exist; writes broadcast updates.
-    SharedClean,
-    /// Shared modified: other copies may exist; this cache owns the dirty
-    /// data (supplies it and flushes on eviction).
-    SharedModified,
-    /// Dirty: modified sole copy.
-    Dirty,
-}
-
-impl fmt::Display for DragonState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for DragonState {
-    fn invalid() -> Self {
-        DragonState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            DragonState::Invalid => StateDescriptor::INVALID,
-            DragonState::Exclusive => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            DragonState::SharedClean => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            DragonState::SharedModified => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-            DragonState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[
-            DragonState::Invalid,
-            DragonState::Exclusive,
-            DragonState::SharedClean,
-            DragonState::SharedModified,
-            DragonState::Dirty,
-        ]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            DragonState::Invalid => "I",
-            DragonState::Exclusive => "E",
-            DragonState::SharedClean => "Sc",
-            DragonState::SharedModified => "Sm",
-            DragonState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Dragon protocol.
+    pub enum DragonState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Exclusive clean: sole copy, memory current.
+        Exclusive = "E" (Write),
+        /// Shared clean: other copies may exist; writes broadcast updates.
+        SharedClean = "Sc" (Read),
+        /// Shared modified: other copies may exist; this cache owns the dirty
+        /// data (supplies it and flushes on eviction).
+        SharedModified = "Sm" (Read, source, dirty),
+        /// Dirty: modified sole copy.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

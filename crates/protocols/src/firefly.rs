@@ -8,71 +8,22 @@
 //! shared-modified state.
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
-    SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
+    SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Firefly protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FireflyState {
-    /// Meaningless.
-    Invalid,
-    /// Exclusive clean.
-    Exclusive,
-    /// Shared (always clean: shared writes go through to memory).
-    Shared,
-    /// Dirty: modified sole copy.
-    Dirty,
-}
-
-impl fmt::Display for FireflyState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for FireflyState {
-    fn invalid() -> Self {
-        FireflyState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            FireflyState::Invalid => StateDescriptor::INVALID,
-            FireflyState::Exclusive => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            FireflyState::Shared => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            FireflyState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[FireflyState::Invalid, FireflyState::Exclusive, FireflyState::Shared, FireflyState::Dirty]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            FireflyState::Invalid => "I",
-            FireflyState::Exclusive => "E",
-            FireflyState::Shared => "S",
-            FireflyState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Firefly protocol.
+    pub enum FireflyState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Exclusive clean.
+        Exclusive = "E" (Write),
+        /// Shared (always clean: shared writes go through to memory).
+        Shared = "S" (Read),
+        /// Dirty: modified sole copy.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

@@ -17,72 +17,23 @@
 //!   [`CompleteOutcome::InstalledRetryOp`]).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply,
-    SnoopSummary, SourcePolicy, StateDescriptor, UpdateTarget,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply,
+    SnoopSummary, SourcePolicy, UpdateTarget,
 };
-use std::fmt;
 
-/// Cache-line states of write-once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GoodmanState {
-    /// Meaningless.
-    Invalid,
-    /// Valid: clean, potentially shared, read privilege.
-    Valid,
-    /// Reserved: clean and exclusive (memory current) — entered by the
-    /// first, written-through write.
-    Reserved,
-    /// Dirty: written at least twice; sole copy; this cache is the source.
-    Dirty,
-}
-
-impl fmt::Display for GoodmanState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for GoodmanState {
-    fn invalid() -> Self {
-        GoodmanState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            GoodmanState::Invalid => StateDescriptor::INVALID,
-            GoodmanState::Valid => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            GoodmanState::Reserved => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            GoodmanState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[GoodmanState::Invalid, GoodmanState::Valid, GoodmanState::Reserved, GoodmanState::Dirty]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            GoodmanState::Invalid => "I",
-            GoodmanState::Valid => "V",
-            GoodmanState::Reserved => "R",
-            GoodmanState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of write-once.
+    pub enum GoodmanState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Valid: clean, potentially shared, read privilege.
+        Valid = "V" (Read),
+        /// Reserved: clean and exclusive (memory current) — entered by the
+        /// first, written-through write.
+        Reserved = "R" (Write),
+        /// Dirty: written at least twice; sole copy; this cache is the source.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

@@ -16,78 +16,24 @@
 //!   (Feature 6, method 2 variant).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod, SharingDetermination,
-    SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod, SharingDetermination,
+    SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Illinois protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IllinoisState {
-    /// Meaningless.
-    Invalid,
-    /// Shared: clean, read privilege; a potential (arbitrating) source.
-    Shared,
-    /// Valid-exclusive: clean, sole copy, write privilege on the cheap.
-    Exclusive,
-    /// Dirty: modified sole copy.
-    Dirty,
-}
-
-impl fmt::Display for IllinoisState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for IllinoisState {
-    fn invalid() -> Self {
-        IllinoisState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            IllinoisState::Invalid => StateDescriptor::INVALID,
-            // Under Illinois "if a cache has a block, it also has source
-            // status for the block" (Section F.2).
-            IllinoisState::Shared => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: true,
-                dirty: false,
-                waiter: false,
-            },
-            IllinoisState::Exclusive => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: false,
-                waiter: false,
-            },
-            IllinoisState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[
-            IllinoisState::Invalid,
-            IllinoisState::Shared,
-            IllinoisState::Exclusive,
-            IllinoisState::Dirty,
-        ]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            IllinoisState::Invalid => "I",
-            IllinoisState::Shared => "S",
-            IllinoisState::Exclusive => "E",
-            IllinoisState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Illinois protocol. Under Illinois "if a
+    /// cache has a block, it also has source status for the block"
+    /// (Section F.2), so every valid state is a source.
+    pub enum IllinoisState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Shared: clean, read privilege; a potential (arbitrating) source.
+        Shared = "S" (Read, source),
+        /// Valid-exclusive: clean, sole copy, write privilege on the cheap.
+        Exclusive = "E" (Write, source),
+        /// Dirty: modified sole copy.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 
@@ -144,34 +90,22 @@ impl Protocol for Illinois {
             return SnoopOutcome::ignore(state);
         }
         match txn.op {
+            // Every valid copy supplies: clean ones arbitrate among
+            // themselves (the engine keeps one winner), a dirty one is
+            // flushed while transferred.
             BusOp::Fetch { privilege: Privilege::Read, .. } | BusOp::IoOutput { paging: false } => {
-                match state {
-                    S::Dirty => SnoopOutcome {
-                        next: S::Shared,
-                        reply: SnoopReply {
-                            hit: true,
-                            source: true,
-                            dirty_status: Some(true),
-                            supplies_data: true,
-                            inhibit_memory: true,
-                            flushes: true, // flushed while transferred
-                            ..Default::default()
-                        },
+                let dirty = state == S::Dirty;
+                SnoopOutcome {
+                    next: S::Shared,
+                    reply: SnoopReply {
+                        hit: true,
+                        source: true,
+                        dirty_status: Some(dirty),
+                        supplies_data: true,
+                        inhibit_memory: true,
+                        flushes: dirty,
+                        ..Default::default()
                     },
-                    // Clean copies also supply (arbitrating among
-                    // themselves); the engine keeps one winner.
-                    S::Exclusive | S::Shared => SnoopOutcome {
-                        next: S::Shared,
-                        reply: SnoopReply {
-                            hit: true,
-                            source: true,
-                            dirty_status: Some(false),
-                            supplies_data: true,
-                            inhibit_memory: true,
-                            ..Default::default()
-                        },
-                    },
-                    S::Invalid => unreachable!("filtered above"),
                 }
             }
             BusOp::Fetch { .. } | BusOp::IoOutput { paging: true } => match state {

@@ -15,9 +15,30 @@
 //!
 //! Every protocol implements [`mcs_model::Protocol`] and can be dropped
 //! into `mcs_sim::System`; the paper's own proposal lives in `mcs-core`.
+//!
+//! A protocol declares its cache-line states once, as one
+//! [`mcs_model::line_states!`] table. Each row is one state: its doc
+//! comment, its short name, and its privilege plus the descriptor flags
+//! that are set, the invalid state first:
+//!
+//! ```text
+//! Invalid = "I",
+//! Shared = "S" (Read, source),
+//! Dirty = "D" (Write, source, dirty),
+//! ```
+//!
+//! The macro writes the enum, `Display` and the [`mcs_model::LineState`]
+//! impl (`invalid`, `descriptor`, `all`, `name`) from that table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test protocol code must not panic: the engine calls it on every
+// transaction. Tests keep their unwraps. CI promotes these warnings to
+// errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 mod berkeley;
 mod dragon;

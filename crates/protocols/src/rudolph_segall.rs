@@ -20,82 +20,26 @@
 //! (exactly the area/performance objection the paper raises).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
-    SnoopSummary, SourcePolicy, StateDescriptor, UpdateTarget, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
+    SnoopSummary, SourcePolicy, UpdateTarget, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Rudolph-Segall scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RudolphSegallState {
-    /// Meaningless — but the frame's data is still refreshed by other
-    /// processors' write-throughs, and such an update *revalidates* it.
-    Invalid,
-    /// Valid, possibly shared; the next local write is a write-through.
-    Shared,
-    /// Written once since the last external access (memory current); the
-    /// next consecutive local write invalidates other copies and goes
-    /// write-in.
-    WrittenOnce,
-    /// Unshared and dirty: writes are local.
-    Dirty,
-}
-
-impl fmt::Display for RudolphSegallState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for RudolphSegallState {
-    fn invalid() -> Self {
-        RudolphSegallState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            RudolphSegallState::Invalid => StateDescriptor::INVALID,
-            RudolphSegallState::Shared => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            // Written-once: memory is current (the write went through);
-            // other copies may exist (they were updated), so only read
-            // privilege is claimed — the next write takes the bus.
-            RudolphSegallState::WrittenOnce => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            RudolphSegallState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[
-            RudolphSegallState::Invalid,
-            RudolphSegallState::Shared,
-            RudolphSegallState::WrittenOnce,
-            RudolphSegallState::Dirty,
-        ]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            RudolphSegallState::Invalid => "I",
-            RudolphSegallState::Shared => "S",
-            RudolphSegallState::WrittenOnce => "W1",
-            RudolphSegallState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Rudolph-Segall scheme.
+    pub enum RudolphSegallState {
+        /// Meaningless — but the frame's data is still refreshed by other
+        /// processors' write-throughs, and such an update *revalidates* it.
+        Invalid = "I",
+        /// Valid, possibly shared; the next local write is a write-through.
+        Shared = "S" (Read),
+        /// Written once since the last external access (memory current); the
+        /// next consecutive local write invalidates other copies and goes
+        /// write-in. Other copies may exist (they were updated), so only read
+        /// privilege is claimed: the next write takes the bus.
+        WrittenOnce = "W1" (Read),
+        /// Unshared and dirty: writes are local.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

@@ -18,62 +18,20 @@
 //!   (Feature 6, method 2).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
-    SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
+    SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Synapse protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SynapseState {
-    /// Meaningless.
-    Invalid,
-    /// Valid: clean, potentially shared.
-    Valid,
-    /// Dirty: sole copy, memory stale; memory's source bit points here.
-    Dirty,
-}
-
-impl fmt::Display for SynapseState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for SynapseState {
-    fn invalid() -> Self {
-        SynapseState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            SynapseState::Invalid => StateDescriptor::INVALID,
-            SynapseState::Valid => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            SynapseState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[SynapseState::Invalid, SynapseState::Valid, SynapseState::Dirty]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            SynapseState::Invalid => "I",
-            SynapseState::Valid => "V",
-            SynapseState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Synapse protocol.
+    pub enum SynapseState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Valid: clean, potentially shared.
+        Valid = "V" (Read),
+        /// Dirty: sole copy, memory stale; memory's source bit points here.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

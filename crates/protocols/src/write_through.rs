@@ -9,53 +9,18 @@
 //! version).
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    LineState, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
-    StateDescriptor, UpdateTarget,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
+    UpdateTarget,
 };
-use std::fmt;
 
-/// Cache-line states of the classic write-through scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WriteThroughState {
-    /// Meaningless.
-    Invalid,
-    /// A valid (clean, shared-access) copy; memory is always current.
-    Valid,
-}
-
-impl fmt::Display for WriteThroughState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for WriteThroughState {
-    fn invalid() -> Self {
-        WriteThroughState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            WriteThroughState::Invalid => StateDescriptor::INVALID,
-            WriteThroughState::Valid => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[WriteThroughState::Invalid, WriteThroughState::Valid]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            WriteThroughState::Invalid => "I",
-            WriteThroughState::Valid => "V",
-        }
+line_states! {
+    /// Cache-line states of the classic write-through scheme.
+    pub enum WriteThroughState {
+        /// Meaningless.
+        Invalid = "I",
+        /// A valid (clean, shared-access) copy; memory is always current.
+        Valid = "V" (Read),
     }
 }
 

@@ -8,72 +8,23 @@
 //! non-source clean write state.
 
 use mcs_model::{
-    AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction, FeatureSet,
-    FlushPolicy, LineState, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
-    SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
+    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
+    SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
 };
-use std::fmt;
 
-/// Cache-line states of the Yen-Yen-Fu protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum YenState {
-    /// Meaningless.
-    Invalid,
-    /// Valid: clean, potentially shared, read privilege.
-    Valid,
-    /// Write-clean: exclusive and clean (entered by a read-for-write miss);
-    /// **non-source** — memory stays current and services requests.
-    WriteClean,
-    /// Dirty: modified sole copy; the source.
-    Dirty,
-}
-
-impl fmt::Display for YenState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for YenState {
-    fn invalid() -> Self {
-        YenState::Invalid
-    }
-
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            YenState::Invalid => StateDescriptor::INVALID,
-            YenState::Valid => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            YenState::WriteClean => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            YenState::Dirty => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-
-    fn all() -> &'static [Self] {
-        &[YenState::Invalid, YenState::Valid, YenState::WriteClean, YenState::Dirty]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            YenState::Invalid => "I",
-            YenState::Valid => "V",
-            YenState::WriteClean => "WC",
-            YenState::Dirty => "D",
-        }
+line_states! {
+    /// Cache-line states of the Yen-Yen-Fu protocol.
+    pub enum YenState {
+        /// Meaningless.
+        Invalid = "I",
+        /// Valid: clean, potentially shared, read privilege.
+        Valid = "V" (Read),
+        /// Write-clean: exclusive and clean (entered by a read-for-write miss);
+        /// **non-source** — memory stays current and services requests.
+        WriteClean = "WC" (Write),
+        /// Dirty: modified sole copy; the source.
+        Dirty = "D" (Write, source, dirty),
     }
 }
 

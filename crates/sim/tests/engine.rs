@@ -6,58 +6,19 @@
 
 use mcs_cache::CacheConfig;
 use mcs_model::{
-    AccessKind, Addr, BlockAddr, BusOp, BusTxn, CacheId, CompleteOutcome, Event, FeatureSet,
-    LineState, Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
-    StateDescriptor, Word,
+    line_states, AccessKind, Addr, BlockAddr, BusOp, BusTxn, CacheId, CompleteOutcome, Event,
+    FeatureSet, Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply,
+    SnoopSummary, Word,
 };
 use mcs_protocols::{Illinois, IllinoisState};
 use mcs_sim::ScriptStep::{self, Compute, Op};
 use mcs_sim::{ParallelScriptWorkload, ScriptWorkload, System, SystemConfig};
-use std::fmt;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Msi {
-    I,
-    S,
-    M,
-}
-
-impl fmt::Display for Msi {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl LineState for Msi {
-    fn invalid() -> Self {
-        Msi::I
-    }
-    fn descriptor(&self) -> StateDescriptor {
-        match self {
-            Msi::I => StateDescriptor::INVALID,
-            Msi::S => StateDescriptor {
-                privilege: Some(Privilege::Read),
-                source: false,
-                dirty: false,
-                waiter: false,
-            },
-            Msi::M => StateDescriptor {
-                privilege: Some(Privilege::Write),
-                source: true,
-                dirty: true,
-                waiter: false,
-            },
-        }
-    }
-    fn all() -> &'static [Self] {
-        &[Msi::I, Msi::S, Msi::M]
-    }
-    fn name(&self) -> &'static str {
-        match self {
-            Msi::I => "I",
-            Msi::S => "S",
-            Msi::M => "M",
-        }
+line_states! {
+    enum Msi {
+        I = "I",
+        S = "S" (Read),
+        M = "M" (Write, source, dirty),
     }
 }
 

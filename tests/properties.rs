@@ -11,8 +11,8 @@
 use mcs::cache::{Cache, CacheConfig};
 use mcs::core::{with_protocol, BitarDespain, ProtocolKind};
 use mcs::model::{
-    Addr, BlockAddr, BusOp, CacheId, Event, LineState, Privilege, ProcId, ProcOp, Rng64,
-    StateDescriptor, Word,
+    line_states, Addr, BlockAddr, BusOp, CacheId, Event, LineState, Privilege, ProcId, ProcOp,
+    Rng64, Word,
 };
 use mcs::sim::{ScriptWorkload, System, SystemConfig};
 use mcs::sync::LockSchemeKind;
@@ -84,38 +84,10 @@ fn runs_are_deterministic() {
 /// appears at most once, and lookups always return the inserted tag.
 #[test]
 fn cache_structure_invariants() {
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    struct Tiny(bool);
-    impl std::fmt::Display for Tiny {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str(self.name())
-        }
-    }
-    impl LineState for Tiny {
-        fn invalid() -> Self {
-            Tiny(false)
-        }
-        fn descriptor(&self) -> StateDescriptor {
-            if self.0 {
-                StateDescriptor {
-                    privilege: Some(Privilege::Read),
-                    source: false,
-                    dirty: false,
-                    waiter: false,
-                }
-            } else {
-                StateDescriptor::INVALID
-            }
-        }
-        fn all() -> &'static [Self] {
-            &[Tiny(false), Tiny(true)]
-        }
-        fn name(&self) -> &'static str {
-            if self.0 {
-                "V"
-            } else {
-                "I"
-            }
+    line_states! {
+        enum Tiny {
+            Invalid = "I",
+            Valid = "V" (Read),
         }
     }
 
@@ -127,7 +99,7 @@ fn cache_structure_invariants() {
         for _ in 0..len {
             let b = rng.gen_range_u64(0..64);
             cache.ensure_frame(BlockAddr(b)).unwrap();
-            assert!(cache.set_state(BlockAddr(b), Tiny(true)));
+            assert!(cache.set_state(BlockAddr(b), Tiny::Valid));
             assert!(cache.resident() <= 8, "case {case}");
             assert_eq!(cache.lookup(BlockAddr(b)).map(|l| l.tag), Some(BlockAddr(b)));
         }
