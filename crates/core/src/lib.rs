@@ -3,13 +3,13 @@
 //! *lock privilege*, cache-state locking that makes lock/unlock usually
 //! zero-time, and the lock-waiter state + busy-wait register scheme that
 //! eliminates all unsuccessful retries from the bus — plus the machinery
-//! that regenerates the paper's Tables 1–2 and Figure 10 from the code.
+//! that regenerates the paper's Tables 1–2 from the code.
 //!
 //! * [`BitarDespain`] / [`BitarState`] — the protocol (Section E);
 //! * [`table1`] — the evolution matrix, generated from every protocol's
-//!   states and features;
+//!   states and the features its arcs implement (the Figure 10
+//!   enumeration itself is generic, in `mcs_model::arcs`);
 //! * [`table2`] — the innovation summary;
-//! * [`transitions`] — the exhaustive Figure 10 transition relation;
 //! * [`ProtocolKind`] / [`with_protocol!`] — the protocol registry used by
 //!   the experiment harness.
 //!
@@ -41,7 +41,6 @@ mod protocol;
 mod registry;
 pub mod table1;
 pub mod table2;
-pub mod transitions;
 
 pub use protocol::{BitarDespain, BitarState};
 pub use registry::ProtocolKind;

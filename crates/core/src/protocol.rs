@@ -41,8 +41,7 @@
 
 use mcs_model::{
     line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, DistributedState,
-    EvictAction, FeatureSet, FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod,
-    SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
+    LineState, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -68,6 +67,11 @@ line_states! {
         /// the unlock must be broadcast (Figure 8).
         LockSourceDirtyWaiter = "LSDW" (Lock, source, dirty, waiter),
     }
+    declares {
+        distributed: DistributedState::RWLDS,
+        directory: DirectoryDuality::NonIdenticalDual,
+        atomic_rmw: Some(RmwMethod::LockState),
+    }
 }
 
 /// The Bitar-Despain lock protocol (the paper's proposal).
@@ -87,23 +91,6 @@ impl Protocol for BitarDespain {
 
     fn name(&self) -> &'static str {
         "Bitar-Despain 1986 (proposal)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        FeatureSet {
-            cache_to_cache: true,
-            c2c_serves_reads: true,
-            distributed: DistributedState::RWLDS,
-            directory: DirectoryDuality::NonIdenticalDual,
-            bus_invalidate_signal: true,
-            read_for_write: Some(SharingDetermination::Dynamic),
-            atomic_rmw: Some(RmwMethod::LockState),
-            flush_on_transfer: FlushPolicy::NoFlush { transfer_status: true },
-            source_policy: SourcePolicy::LruLastFetcher,
-            write_no_fetch: true,
-            efficient_busy_wait: true,
-            write_policy: WritePolicy::WriteIn,
-        }
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -333,19 +320,12 @@ impl Protocol for BitarDespain {
         };
         CompleteOutcome::Installed { next }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state.descriptor().dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_model::EvictAction;
 
     #[test]
     fn eight_states_with_paper_descriptors() {
@@ -358,20 +338,6 @@ mod tests {
             "Read, Source, Clean"
         );
         assert_eq!(BitarState::Read.descriptor().to_string(), "Read");
-    }
-
-    #[test]
-    fn features_match_table_one_column() {
-        let f = BitarDespain.features();
-        assert_eq!(f.distributed, DistributedState::RWLDS);
-        assert_eq!(f.directory, DirectoryDuality::NonIdenticalDual);
-        assert!(f.bus_invalidate_signal);
-        assert_eq!(f.read_for_write, Some(SharingDetermination::Dynamic));
-        assert_eq!(f.atomic_rmw, Some(RmwMethod::LockState));
-        assert_eq!(f.flush_on_transfer, FlushPolicy::NoFlush { transfer_status: true });
-        assert_eq!(f.source_policy, SourcePolicy::LruLastFetcher);
-        assert!(f.write_no_fetch);
-        assert!(f.efficient_busy_wait);
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! The upper part (states × protocols, with N/S source annotations) is
 //! derived from each protocol's [`LineState::all`] via the
 //! [`StateDescriptor`] classification; the lower part (Features 1–10) from
-//! [`Protocol::features`]. Nothing is hard-coded from the paper — the test
-//! suite asserts the *generated* matrix equals the published one.
+//! [`Protocol::features`]: Features 1, 4, 5, 7–10 are derived from the
+//! protocol's Figure 10 arcs, so no feature prints that the arcs lack;
+//! Features 2, 3 and 6 are declared beside the states, because no arc shows
+//! them and Feature 6 grades each paper's claim rather than an arc (see
+//! [`mcs_model::features`]). Nothing is hard-coded from the paper — the
+//! test suite asserts the *generated* matrix equals the published one.
 //!
 //! One documented rendering difference: the paper shows the Illinois
 //! (Papamarcos & Patel) shared state on the plain "Read" row with a source

@@ -26,6 +26,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test fault code must not panic: the engine asks `FaultState` at its
+// choke points on every transaction. Tests keep their unwraps. CI promotes
+// these warnings to errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 use mcs_model::{BlockAddr, Rng64};
 use std::fmt;

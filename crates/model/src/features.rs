@@ -1,12 +1,26 @@
 //! The feature taxonomy of the paper's Table 1 ("Evolution of
-//! Full-Broadcast, Write-In Cache-Synchronization Schemes").
+//! Full-Broadcast, Write-In Cache-Synchronization Schemes"), as the
+//! provided [`Protocol::features`](crate::Protocol::features) reports it.
 //!
-//! Every protocol reports a [`FeatureSet`]; the Table 1 generator in
-//! `mcs-core` renders the matrix from these values and the protocol's
-//! reachable states, and the experiment harness uses them to decide which
-//! mechanisms a run exercises (e.g. whether the simulator should model
-//! source arbitration, Feature 8).
+//! * **Derived** from the protocol's Figure 10 arcs
+//!   ([`FeatureSet::from_arcs`]): Features 1, 4, 5, 7, 8, 9, 10, note 1
+//!   and the Section D write policy, so the table cannot claim a feature
+//!   the arcs do not implement.
+//! * **Declared** beside the states ([`LineState::DISTRIBUTED`],
+//!   [`LineState::DIRECTORY`], [`LineState::ATOMIC_RMW`]): Features 2, 3
+//!   and 6. No arc shows which status bits are distributed or how the
+//!   directory is organised. Feature 6 grades each paper's claim: the arcs
+//!   of Goodman, Yen and classic write-through send `Rmw` to memory, which
+//!   would derive hold-memory, where the paper leaves Goodman's and Yen's
+//!   cells blank.
+//!
+//! The engine reads only Feature 3 and [`SourcePolicy::arbitrated`], so
+//! building a system never runs the derivation.
 
+use crate::arcs::{installed, Arcs, ProcArc};
+use crate::bus::{BusOp, SnoopSummary, UpdateTarget};
+use crate::ops::AccessKind;
+use crate::protocol::{CompleteOutcome, LineState, Privilege, ProcAction, StateDescriptor};
 use std::fmt;
 
 /// Feature 2: which status bits are fully distributed among the caches
@@ -180,6 +194,19 @@ pub enum SourcePolicy {
     LruLastFetcher,
 }
 
+impl SourcePolicy {
+    /// Must several sources of a read-shared block arbitrate (ARB)? True
+    /// when every read-privilege state is a source. A walk over the states
+    /// that allocates nothing, for `System::new`; it agrees with the
+    /// derived row for every protocol.
+    pub fn arbitrated<S: LineState>() -> bool {
+        let reads = || {
+            S::all().iter().map(|s| s.descriptor()).filter(|d| d.privilege == Some(Privilege::Read))
+        };
+        reads().next().is_some() && reads().all(|d| d.source)
+    }
+}
+
 impl fmt::Display for SourcePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -246,29 +273,109 @@ impl fmt::Display for WritePolicy {
 }
 
 impl FeatureSet {
-    /// A conservative baseline: the classic pre-1978 write-through scheme
-    /// (Table 2, "Early Schemes"). Protocol implementations start from this
-    /// and enable what they add.
-    pub fn classic_write_through() -> Self {
+    /// Derives each behavioural row as one "some arc does X" test, and
+    /// takes Features 2, 3 and 6 from the states' declarations.
+    pub fn from_arcs<S: LineState>(arcs: &Arcs<S>) -> FeatureSet {
+        use AccessKind::{LockRead, Read, ReadForWrite, Write, WriteNoFetch};
+        let invalid = S::invalid();
+        let bus = |a: &ProcArc<S>| match a.action {
+            ProcAction::Bus { op } => Some(op),
+            ProcAction::Hit { .. } => None,
+        };
+        let miss =
+            |kind| arcs.proc.iter().find(|a| a.from == invalid && a.kind == kind).and_then(bus);
+        // The bus request, if any, of each write from a valid state.
+        let writes = || {
+            arcs.proc.iter().filter(|a| a.kind == Write && a.from.descriptor().is_valid()).map(bus)
+        };
+        // Valid lines supplying the block to another cache's fetch.
+        let transfers: Vec<_> = arcs
+            .snoop
+            .iter()
+            .filter(|a| a.from.descriptor().is_valid() && matches!(a.op, BusOp::Fetch { .. }))
+            .filter(|a| a.outcome.reply.supplies_data)
+            .collect();
+        let read_transfers: Vec<_> = transfers
+            .iter()
+            .filter(|a| matches!(a.op, BusOp::Fetch { privilege: Privilege::Read, .. }))
+            .collect();
+        // The read miss's completions, and whether they install a state that `has` something.
+        let read_miss = |has: fn(&StateDescriptor) -> bool, summary: fn(&SnoopSummary) -> bool| {
+            arcs.complete.iter().any(|a| {
+                a.from == invalid
+                    && a.kind == Read
+                    && summary(&a.summary)
+                    && installed(&a.outcome).is_some_and(|s| has(&s.descriptor()))
+            })
+        };
+
+        let read_for_write = if read_miss(StateDescriptor::can_write, |s| !s.any_hit) {
+            Some(SharingDetermination::Dynamic)
+        } else if matches!(
+            miss(ReadForWrite),
+            Some(BusOp::Fetch { privilege: Privilege::Write, .. })
+        ) {
+            Some(SharingDetermination::Static)
+        } else {
+            None
+        };
+        let flush_on_transfer = if transfers.is_empty()
+            || transfers.iter().any(|a| a.from.descriptor().dirty && a.outcome.reply.flushes)
+        {
+            FlushPolicy::Flush
+        } else {
+            // Status travels only where a clean source supplies reads.
+            let clean_source = |d: StateDescriptor| d.source && !d.dirty;
+            FlushPolicy::NoFlush {
+                transfer_status: read_transfers.iter().any(|a| clean_source(a.from.descriptor())),
+            }
+        };
+        let read_source = S::all()
+            .iter()
+            .map(|s| s.descriptor())
+            .any(|d| d.privilege == Some(Privilege::Read) && d.source);
+        // On a shared read fetch, does the supplier stay a source, and does
+        // the fetcher become one?
+        let source_stays = read_transfers.iter().any(|a| a.outcome.next.descriptor().source);
+        let fetcher_becomes_source = read_miss(|d| d.source, |s| s.source_dirty.is_some());
+        let source_policy = match (read_source, source_stays, fetcher_becomes_source) {
+            (false, _, _) => SourcePolicy::NoReadSource,
+            (true, true, true) => SourcePolicy::Arbitrate,
+            (true, false, true) => SourcePolicy::LruLastFetcher,
+            (true, _, false) => SourcePolicy::MemoryOnLoss,
+        };
+        let write_through = BusOp::WriteWord { target: UpdateTarget::Invalidate };
+        let updates = |op| {
+            matches!(op, BusOp::WriteWord { .. } | BusOp::UpdateWord { .. }) && op != write_through
+        };
+        let write_policy = if writes().all(|op| op == Some(write_through)) {
+            WritePolicy::WriteThrough
+        } else if writes().flatten().any(updates) {
+            WritePolicy::Hybrid
+        } else {
+            WritePolicy::WriteIn
+        };
         FeatureSet {
-            cache_to_cache: false,
-            c2c_serves_reads: false,
-            distributed: DistributedState {
-                read: true,
-                write: false,
-                lock: false,
-                dirty: false,
-                source: false,
-            },
-            directory: DirectoryDuality::IdenticalDual,
-            bus_invalidate_signal: false,
-            read_for_write: None,
-            atomic_rmw: None,
-            flush_on_transfer: FlushPolicy::Flush,
-            source_policy: SourcePolicy::NoReadSource,
-            write_no_fetch: false,
-            efficient_busy_wait: false,
-            write_policy: WritePolicy::WriteThrough,
+            cache_to_cache: !transfers.is_empty(),
+            c2c_serves_reads: !read_transfers.is_empty(),
+            distributed: S::DISTRIBUTED,
+            directory: S::DIRECTORY,
+            // A write hit gains privilege without a memory cycle.
+            bus_invalidate_signal: writes()
+                .flatten()
+                .any(|op| matches!(op, BusOp::Invalidate | BusOp::Fetch { need_data: false, .. })),
+            read_for_write,
+            atomic_rmw: S::ATOMIC_RMW,
+            flush_on_transfer,
+            source_policy,
+            write_no_fetch: miss(WriteNoFetch) == Some(BusOp::ClaimNoFetch),
+            // A lock request is denied and waits in its cache, or a waiter
+            // spins on a copy that write-throughs keep updated.
+            efficient_busy_wait: arcs.complete.iter().any(|a| {
+                a.kind == LockRead && a.summary.locked && a.outcome == CompleteOutcome::LockDenied
+            }) || writes()
+                .any(|op| op == Some(BusOp::WriteWord { target: UpdateTarget::AllCopies })),
+            write_policy,
         }
     }
 }
@@ -310,17 +417,5 @@ mod tests {
     fn sharing_determination_display() {
         assert_eq!(SharingDetermination::Dynamic.to_string(), "D");
         assert_eq!(SharingDetermination::Static.to_string(), "S");
-    }
-
-    #[test]
-    fn classic_baseline_has_nothing_fancy() {
-        let f = FeatureSet::classic_write_through();
-        assert!(!f.cache_to_cache);
-        assert!(!f.bus_invalidate_signal);
-        assert!(f.read_for_write.is_none());
-        assert!(f.atomic_rmw.is_none());
-        assert!(!f.write_no_fetch);
-        assert!(!f.efficient_busy_wait);
-        assert_eq!(f.write_policy, WritePolicy::WriteThrough);
     }
 }

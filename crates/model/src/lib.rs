@@ -10,7 +10,9 @@
 //! * [`bus`] — the bus-transaction vocabulary ([`BusOp`], snoop replies);
 //! * [`protocol`] — the [`Protocol`] trait each coherence scheme implements;
 //! * [`timing`] — the cycle-cost model of the single broadcast bus;
-//! * [`features`] — the Table 1 feature taxonomy ([`FeatureSet`]);
+//! * [`arcs`] — every arc of a protocol's state machine (Figure 10);
+//! * [`features`] — the Table 1 feature taxonomy ([`FeatureSet`]), derived
+//!   from the arcs;
 //! * [`stats`] — counters gathered by the simulator;
 //! * [`trace`] — the event trace used to regenerate the paper's figures.
 //!
@@ -37,6 +39,7 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
 )]
 
+pub mod arcs;
 pub mod bus;
 pub mod error;
 pub mod fastmap;
@@ -49,6 +52,7 @@ pub mod timing;
 pub mod trace;
 pub mod types;
 
+pub use arcs::Arcs;
 pub use bus::{BusOp, BusTxn, SnoopReply, SnoopSummary, UpdateTarget};
 pub use error::ModelError;
 pub use fastmap::{FastMap, FxHasher64};

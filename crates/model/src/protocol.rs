@@ -15,8 +15,9 @@
 //! mechanism that is *not* protocol-specific: arbitration, timing, data
 //! movement, busy waiting, and the coherence oracles.
 
+use crate::arcs::Arcs;
 use crate::bus::{BusOp, BusTxn, SnoopReply, SnoopSummary};
-use crate::features::FeatureSet;
+use crate::features::{DirectoryDuality, DistributedState, FeatureSet, RmwMethod};
 use crate::ops::AccessKind;
 use std::fmt;
 use std::hash::Hash;
@@ -141,6 +142,14 @@ pub trait LineState:
     /// The state's short name (`"I"`, `"RSD"`, ...): what `Display`
     /// prints and what traces record.
     fn name(&self) -> &'static str;
+
+    /// Feature 2, declared: the status bits the caches hold.
+    const DISTRIBUTED: DistributedState = DistributedState::RWDS;
+    /// Feature 3, declared: the directory organisation. `System::new`
+    /// reads it.
+    const DIRECTORY: DirectoryDuality = DirectoryDuality::IdenticalDual;
+    /// Feature 6, declared: the read-modify-write method the paper grades.
+    const ATOMIC_RMW: Option<RmwMethod> = None;
 }
 
 /// Declares a protocol's cache-line states as one table, one row per
@@ -151,15 +160,19 @@ pub trait LineState:
 /// `Lock`) and the [`StateDescriptor`] flags that are set (`source`,
 /// `dirty`, `waiter`), the way Table 1 and Section E.1 name a state. Doc
 /// comments on the rows and attributes on the enum (a further `#[derive]`)
-/// pass through. The macro generates:
+/// pass through. An optional `declares { .. }` block after the enum sets
+/// the Table 1 cells no arc shows, where they differ from the defaults:
+/// `distributed`, `directory` and `atomic_rmw`, in that order. The macro
+/// generates:
 ///
 /// * the enum, deriving `Debug, Clone, Copy, PartialEq, Eq, Hash`;
 /// * [`LineState`]: `invalid()` is the first row, `all()` lists the rows in
-///   order, and `descriptor()` and `name()` are one `match` each;
+///   order, `descriptor()` and `name()` are one `match` each, and the
+///   declared cells become its `DISTRIBUTED`, `DIRECTORY` and `ATOMIC_RMW`;
 /// * `Display`, which prints `name()`.
 ///
 /// ```
-/// use mcs_model::{line_states, LineState, Privilege, StateDescriptor};
+/// use mcs_model::{line_states, DirectoryDuality, LineState, Privilege, StateDescriptor};
 ///
 /// line_states! {
 ///     /// A three-state write-back protocol.
@@ -171,6 +184,9 @@ pub trait LineState:
 ///         Shared = "S" (Read),
 ///         /// The modified sole copy, and the block's source.
 ///         Modified = "M" (Write, source, dirty),
+///     }
+///     declares {
+///         directory: DirectoryDuality::NonIdenticalDual,
 ///     }
 /// }
 ///
@@ -185,6 +201,8 @@ pub trait LineState:
 /// );
 /// assert_eq!(Msi::Modified.descriptor().to_string(), "Write, Source, Dirty");
 /// assert!(Msi::Shared < Msi::Modified);
+/// assert_eq!(Msi::DIRECTORY, DirectoryDuality::NonIdenticalDual);
+/// assert_eq!(Msi::ATOMIC_RMW, None);
 /// ```
 #[macro_export]
 macro_rules! line_states {
@@ -198,6 +216,11 @@ macro_rules! line_states {
                 $state:ident = $state_name:literal ($privilege:ident $(, $flag:ident)*)
             ),* $(,)?
         }
+        $(declares {
+            $(distributed: $distributed:expr,)?
+            $(directory: $directory:expr,)?
+            $(atomic_rmw: $atomic_rmw:expr,)?
+        })?
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -248,6 +271,12 @@ macro_rules! line_states {
                     $($name::$state => $state_name,)*
                 }
             }
+
+            $(
+                $(const DISTRIBUTED: $crate::DistributedState = $distributed;)?
+                $(const DIRECTORY: $crate::DirectoryDuality = $directory;)?
+                $(const ATOMIC_RMW: ::core::option::Option<$crate::RmwMethod> = $atomic_rmw;)?
+            )?
         }
     };
 }
@@ -337,8 +366,12 @@ pub trait Protocol: Send + Sync + 'static {
     /// Human-readable protocol name, as used in Table 1 column headers.
     fn name(&self) -> &'static str;
 
-    /// The protocol's Table 1 feature set.
-    fn features(&self) -> FeatureSet;
+    /// The protocol's Table 1 feature set: the behavioural rows derived
+    /// from its arcs, Features 2, 3 and 6 from its states'
+    /// [`LineState`] declarations. Protocols do not write this.
+    fn features(&self) -> FeatureSet {
+        FeatureSet::from_arcs(&Arcs::of(self))
+    }
 
     /// Entry point 1: the local processor presents an access `kind` to a
     /// line currently in `state` (use [`LineState::invalid`] for a miss).

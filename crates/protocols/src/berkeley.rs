@@ -18,9 +18,8 @@
 //!   (Feature 6).
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, DistributedState,
-    EvictAction, FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod,
-    SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DirectoryDuality, Privilege,
+    ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -39,6 +38,10 @@ line_states! {
         /// Dirty: modified sole copy, source.
         Dirty = "D" (Write, source, dirty),
     }
+    declares {
+        directory: DirectoryDuality::DualPortedRead,
+        atomic_rmw: Some(RmwMethod::FetchAndHoldCache),
+    }
 }
 
 /// The Katz et al. (Berkeley / SPUR) protocol.
@@ -52,21 +55,6 @@ impl Protocol for Berkeley {
 
     fn name(&self) -> &'static str {
         "Katz et al. 1985 (Berkeley)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.directory = DirectoryDuality::DualPortedRead;
-        f.bus_invalidate_signal = true;
-        f.read_for_write = Some(SharingDetermination::Static);
-        f.atomic_rmw = Some(RmwMethod::FetchAndHoldCache);
-        f.flush_on_transfer = FlushPolicy::NoFlush { transfer_status: true };
-        f.source_policy = SourcePolicy::MemoryOnLoss;
-        f.write_policy = WritePolicy::WriteIn;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -201,15 +189,6 @@ impl Protocol for Berkeley {
         };
         CompleteOutcome::Installed { next }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        match state {
-            // Dirty owners must write back; shared-dirty too (sole holder
-            // of the latest version).
-            S::Dirty | S::SharedDirty => EvictAction::Writeback,
-            _ => EvictAction::Silent,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -302,16 +281,6 @@ mod tests {
         s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[0].2.value, Some(Word(2)));
     }
-
-    #[test]
-    fn features_match_table_one() {
-        let f = Berkeley.features();
-        assert_eq!(f.directory, DirectoryDuality::DualPortedRead);
-        assert_eq!(f.read_for_write, Some(SharingDetermination::Static));
-        assert_eq!(f.flush_on_transfer, FlushPolicy::NoFlush { transfer_status: true });
-        assert_eq!(f.source_policy, SourcePolicy::MemoryOnLoss);
-        assert_eq!(f.atomic_rmw, Some(RmwMethod::FetchAndHoldCache));
-    }
 }
 
 /// The paper's suggested fix for Berkeley's inconsistency (Section F.3,
@@ -332,13 +301,6 @@ impl Protocol for BerkeleyNonSourceWc {
 
     fn name(&self) -> &'static str {
         "Berkeley (non-source write-clean ablation)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = Berkeley.features();
-        // With no clean source, clean/dirty status need not travel.
-        f.flush_on_transfer = FlushPolicy::NoFlush { transfer_status: false };
-        f
     }
 
     fn proc_access(&self, state: BerkeleyState, kind: AccessKind) -> ProcAction<BerkeleyState> {
@@ -367,10 +329,6 @@ impl Protocol for BerkeleyNonSourceWc {
         summary: &SnoopSummary,
     ) -> CompleteOutcome<BerkeleyState> {
         Berkeley.complete(state, kind, txn, summary)
-    }
-
-    fn evict(&self, state: BerkeleyState) -> EvictAction {
-        Berkeley.evict(state)
     }
 }
 

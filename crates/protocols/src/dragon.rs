@@ -9,9 +9,8 @@
 //! responsibility); a write to an exclusive block is purely local.
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
-    SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, Privilege, ProcAction, Protocol,
+    SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -42,19 +41,6 @@ impl Protocol for Dragon {
 
     fn name(&self) -> &'static str {
         "Dragon (McCreight 1984)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.bus_invalidate_signal = false; // updates, not invalidations
-        f.read_for_write = Some(SharingDetermination::Dynamic);
-        f.flush_on_transfer = FlushPolicy::NoFlush { transfer_status: true };
-        f.source_policy = SourcePolicy::MemoryOnLoss;
-        f.write_policy = WritePolicy::Hybrid;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -159,13 +145,6 @@ impl Protocol for Dragon {
             }
             BusOp::ClaimNoFetch => CompleteOutcome::Installed { next: S::Dirty },
             _ => CompleteOutcome::Installed { next: state },
-        }
-    }
-
-    fn evict(&self, state: S) -> EvictAction {
-        match state {
-            S::Dirty | S::SharedModified => EvictAction::Writeback,
-            _ => EvictAction::Silent,
         }
     }
 }
@@ -278,13 +257,5 @@ mod tests {
         ]), 10_000)
         .unwrap();
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Dirty);
-    }
-
-    #[test]
-    fn features_are_hybrid_update() {
-        let f = Dragon.features();
-        assert_eq!(f.write_policy, WritePolicy::Hybrid);
-        assert!(!f.bus_invalidate_signal);
-        assert_eq!(f.read_for_write, Some(SharingDetermination::Dynamic));
     }
 }

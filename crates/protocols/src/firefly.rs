@@ -8,9 +8,8 @@
 //! shared-modified state.
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
-    SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, Privilege, ProcAction, Protocol,
+    SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -38,19 +37,6 @@ impl Protocol for Firefly {
 
     fn name(&self) -> &'static str {
         "Firefly (DEC)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.bus_invalidate_signal = false;
-        f.read_for_write = Some(SharingDetermination::Dynamic);
-        f.flush_on_transfer = FlushPolicy::Flush; // memory updated on transfer
-        f.source_policy = SourcePolicy::NoReadSource;
-        f.write_policy = WritePolicy::Hybrid;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -152,14 +138,6 @@ impl Protocol for Firefly {
             _ => CompleteOutcome::Installed { next: state },
         }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state == S::Dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,13 +225,5 @@ mod tests {
         .unwrap();
         // Firefly lands Exclusive (clean) — memory was written through.
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Exclusive);
-    }
-
-    #[test]
-    fn features_are_hybrid() {
-        let f = Firefly.features();
-        assert_eq!(f.write_policy, WritePolicy::Hybrid);
-        assert_eq!(f.read_for_write, Some(SharingDetermination::Dynamic));
-        assert!(!f.bus_invalidate_signal);
     }
 }

@@ -17,9 +17,8 @@
 //!   [`CompleteOutcome::InstalledRetryOp`]).
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply,
-    SnoopSummary, SourcePolicy, UpdateTarget,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, Privilege, ProcAction, Protocol,
+    SnoopOutcome, SnoopReply, SnoopSummary, UpdateTarget,
 };
 
 line_states! {
@@ -48,18 +47,6 @@ impl Protocol for Goodman {
 
     fn name(&self) -> &'static str {
         "Goodman 1983 (write-once)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.bus_invalidate_signal = false; // invalidation by write-through
-        f.flush_on_transfer = FlushPolicy::Flush;
-        f.source_policy = SourcePolicy::NoReadSource;
-        f.write_policy = mcs_model::features::WritePolicy::WriteIn;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -186,14 +173,6 @@ impl Protocol for Goodman {
             _ => CompleteOutcome::Installed { next: state },
         }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state == S::Dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -273,18 +252,6 @@ mod tests {
         // Memory supplied the data (Reserved is not a source).
         assert_eq!(stats.sources.from_cache, 0);
         assert_eq!(s.state_of(CacheId(0), BlockAddr(0)), S::Valid);
-    }
-
-    #[test]
-    fn features_match_table_one() {
-        let f = Goodman.features();
-        assert!(f.cache_to_cache);
-        assert_eq!(f.distributed, DistributedState::RWDS);
-        assert!(!f.bus_invalidate_signal);
-        assert!(f.read_for_write.is_none());
-        assert_eq!(f.flush_on_transfer, FlushPolicy::Flush);
-        assert!(!f.write_no_fetch);
-        assert!(!f.efficient_busy_wait);
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //!   (Feature 6, method 2 variant).
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod, SharingDetermination,
-    SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, Privilege, ProcAction, Protocol,
+    RmwMethod, SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -35,6 +34,9 @@ line_states! {
         /// Dirty: modified sole copy.
         Dirty = "D" (Write, source, dirty),
     }
+    declares {
+        atomic_rmw: Some(RmwMethod::FetchAndHoldCache),
+    }
 }
 
 /// The Papamarcos & Patel (Illinois / MESI ancestor) protocol.
@@ -48,20 +50,6 @@ impl Protocol for Illinois {
 
     fn name(&self) -> &'static str {
         "Papamarcos-Patel 1984 (Illinois)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.bus_invalidate_signal = true;
-        f.read_for_write = Some(SharingDetermination::Dynamic);
-        f.atomic_rmw = Some(RmwMethod::FetchAndHoldCache);
-        f.flush_on_transfer = FlushPolicy::Flush;
-        f.source_policy = SourcePolicy::Arbitrate;
-        f.write_policy = WritePolicy::WriteIn;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -163,14 +151,6 @@ impl Protocol for Illinois {
         };
         CompleteOutcome::Installed { next }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state == S::Dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,16 +245,5 @@ mod tests {
         assert_eq!(script.results()[0].2.value, Some(Word(0)));
         assert_eq!(script.results()[1].2.value, Some(Word(1)));
         assert_eq!(script.results()[2].2.value, Some(Word(1)));
-    }
-
-    #[test]
-    fn features_match_table_one() {
-        let f = Illinois.features();
-        assert_eq!(f.read_for_write, Some(SharingDetermination::Dynamic));
-        assert_eq!(f.source_policy, SourcePolicy::Arbitrate);
-        assert_eq!(f.flush_on_transfer, FlushPolicy::Flush);
-        assert_eq!(f.atomic_rmw, Some(RmwMethod::FetchAndHoldCache));
-        assert!(f.bus_invalidate_signal);
-        assert!(!f.efficient_busy_wait);
     }
 }

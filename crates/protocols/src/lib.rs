@@ -28,7 +28,8 @@
 //! ```
 //!
 //! The macro writes the enum, `Display` and the [`mcs_model::LineState`]
-//! impl (`invalid`, `descriptor`, `all`, `name`) from that table.
+//! impl from that table; a `declares` block sets the Table 1 cells no arc
+//! shows (Features 2, 3, 6). No protocol writes `features()`: the arcs do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

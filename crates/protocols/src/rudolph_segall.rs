@@ -20,9 +20,8 @@
 //! (exactly the area/performance objection the paper raises).
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
-    SnoopSummary, SourcePolicy, UpdateTarget, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, Privilege, ProcAction, Protocol,
+    RmwMethod, SnoopOutcome, SnoopReply, SnoopSummary, UpdateTarget,
 };
 
 line_states! {
@@ -41,6 +40,9 @@ line_states! {
         /// Unshared and dirty: writes are local.
         Dirty = "D" (Write, source, dirty),
     }
+    declares {
+        atomic_rmw: Some(RmwMethod::HoldMemory),
+    }
 }
 
 /// The Rudolph-Segall protocol.
@@ -54,20 +56,6 @@ impl Protocol for RudolphSegall {
 
     fn name(&self) -> &'static str {
         "Rudolph-Segall 1984"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.bus_invalidate_signal = true; // the second write's invalidation
-        f.atomic_rmw = Some(RmwMethod::HoldMemory);
-        f.flush_on_transfer = FlushPolicy::Flush;
-        f.source_policy = SourcePolicy::NoReadSource;
-        f.write_policy = WritePolicy::Hybrid;
-        f.efficient_busy_wait = true; // their loop-on-updated-copy scheme
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -186,14 +174,6 @@ impl Protocol for RudolphSegall {
         };
         CompleteOutcome::Installed { next }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state == S::Dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -294,13 +274,5 @@ mod tests {
         assert_eq!(script.results()[0].2.value, Some(Word(0)));
         assert_eq!(script.results()[1].2.value, Some(Word(1)));
         assert_eq!(stats.bus.count("memory-rmw"), 2);
-    }
-
-    #[test]
-    fn features_match_paper() {
-        let f = RudolphSegall.features();
-        assert_eq!(f.write_policy, WritePolicy::Hybrid);
-        assert_eq!(f.atomic_rmw, Some(RmwMethod::HoldMemory));
-        assert!(f.efficient_busy_wait);
     }
 }

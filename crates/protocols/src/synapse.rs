@@ -18,9 +18,8 @@
 //!   (Feature 6, method 2).
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
-    SnoopSummary, SourcePolicy, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, Privilege,
+    ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -32,6 +31,10 @@ line_states! {
         Valid = "V" (Read),
         /// Dirty: sole copy, memory stale; memory's source bit points here.
         Dirty = "D" (Write, source, dirty),
+    }
+    declares {
+        distributed: DistributedState::RWD,
+        atomic_rmw: Some(RmwMethod::FetchAndHoldCache),
     }
 }
 
@@ -46,19 +49,6 @@ impl Protocol for Synapse {
 
     fn name(&self) -> &'static str {
         "Frank 1984 (Synapse)"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = false; // note 1: write-privilege requests only
-        f.distributed = DistributedState::RWD; // source bit in memory
-        f.bus_invalidate_signal = true;
-        f.atomic_rmw = Some(RmwMethod::FetchAndHoldCache);
-        f.flush_on_transfer = FlushPolicy::NoFlush { transfer_status: false };
-        f.source_policy = SourcePolicy::NoReadSource;
-        f.write_policy = WritePolicy::WriteIn;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -152,14 +142,6 @@ impl Protocol for Synapse {
         let _ = kind;
         CompleteOutcome::Installed { next }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state == S::Dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,17 +227,5 @@ mod tests {
         let script = vec![(ProcId(0), ProcOp::write(Addr(0), Word(1)))];
         let stats = s.run(&mut ScriptWorkload::new(script), 10_000).unwrap().stats;
         assert_eq!(stats.bus.count("invalidate"), 1);
-    }
-
-    #[test]
-    fn features_match_table_one() {
-        let f = Synapse.features();
-        assert!(f.cache_to_cache);
-        assert!(!f.c2c_serves_reads); // note 1
-        assert_eq!(f.distributed, DistributedState::RWD);
-        assert!(f.bus_invalidate_signal);
-        assert!(f.read_for_write.is_none());
-        assert_eq!(f.atomic_rmw, Some(RmwMethod::FetchAndHoldCache));
-        assert_eq!(f.flush_on_transfer, FlushPolicy::NoFlush { transfer_status: false });
     }
 }

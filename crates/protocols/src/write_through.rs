@@ -9,9 +9,8 @@
 //! version).
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
-    UpdateTarget,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, Privilege,
+    ProcAction, Protocol, SnoopOutcome, SnoopReply, SnoopSummary, UpdateTarget,
 };
 
 line_states! {
@@ -21,6 +20,16 @@ line_states! {
         Invalid = "I",
         /// A valid (clean, shared-access) copy; memory is always current.
         Valid = "V" (Read),
+    }
+    // Read validity is the only distributed state.
+    declares {
+        distributed: DistributedState {
+            read: true,
+            write: false,
+            lock: false,
+            dirty: false,
+            source: false,
+        },
     }
 }
 
@@ -35,13 +44,6 @@ impl Protocol for ClassicWriteThrough {
 
     fn name(&self) -> &'static str {
         "classic write-through"
-    }
-
-    fn features(&self) -> FeatureSet {
-        // Exactly the baseline: read-validity is the only distributed state.
-        let mut f = FeatureSet::classic_write_through();
-        f.distributed = DistributedState { read: true, ..Default::default() };
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -94,10 +96,6 @@ impl Protocol for ClassicWriteThrough {
             _ => state,
         };
         CompleteOutcome::Installed { next }
-    }
-
-    fn evict(&self, _state: S) -> EvictAction {
-        EvictAction::Silent // memory is always current
     }
 }
 
@@ -173,14 +171,5 @@ mod tests {
         let mut script = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(12)))]);
         s.run(&mut script, 10_000).unwrap();
         assert_eq!(script.results()[0].2.value, Some(Word(5)));
-    }
-
-    #[test]
-    fn features_match_table() {
-        let f = ClassicWriteThrough.features();
-        assert!(!f.cache_to_cache);
-        assert!(!f.bus_invalidate_signal);
-        assert!(f.atomic_rmw.is_none());
-        assert!(!f.efficient_busy_wait);
     }
 }

@@ -8,9 +8,8 @@
 //! non-source clean write state.
 
 use mcs_model::{
-    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, DistributedState, EvictAction,
-    FeatureSet, FlushPolicy, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
-    SnoopReply, SnoopSummary, SourcePolicy, WritePolicy,
+    line_states, AccessKind, BusOp, BusTxn, CompleteOutcome, Privilege, ProcAction, Protocol,
+    SnoopOutcome, SnoopReply, SnoopSummary,
 };
 
 line_states! {
@@ -39,20 +38,6 @@ impl Protocol for Yen {
 
     fn name(&self) -> &'static str {
         "Yen-Yen-Fu 1985"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.c2c_serves_reads = true;
-        f.distributed = DistributedState::RWDS;
-        f.bus_invalidate_signal = true;
-        f.read_for_write = Some(SharingDetermination::Static);
-        f.atomic_rmw = None; // Feature 6 unchecked in Table 1
-        f.flush_on_transfer = FlushPolicy::Flush;
-        f.source_policy = SourcePolicy::NoReadSource;
-        f.write_policy = WritePolicy::WriteIn;
-        f
     }
 
     fn proc_access(&self, state: S, kind: AccessKind) -> ProcAction<S> {
@@ -169,14 +154,6 @@ impl Protocol for Yen {
         };
         CompleteOutcome::Installed { next }
     }
-
-    fn evict(&self, state: S) -> EvictAction {
-        if state == S::Dirty {
-            EvictAction::Writeback
-        } else {
-            EvictAction::Silent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,15 +224,5 @@ mod tests {
         assert_eq!(script.results()[1].2.value, Some(Word(6)));
         assert_eq!(stats.sources.from_cache, 1);
         assert!(stats.sources.flushes >= 1);
-    }
-
-    #[test]
-    fn features_match_table_one() {
-        let f = Yen.features();
-        assert_eq!(f.read_for_write, Some(SharingDetermination::Static));
-        assert!(f.atomic_rmw.is_none());
-        assert!(f.bus_invalidate_signal);
-        assert_eq!(f.flush_on_transfer, FlushPolicy::Flush);
-        assert_eq!(f.source_policy, SourcePolicy::NoReadSource);
     }
 }

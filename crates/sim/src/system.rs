@@ -452,8 +452,10 @@ impl<P: Protocol> System<P> {
         }
         config.timing().validate()?;
         let geometry = config.cache().geometry();
-        let features = protocol.features();
-        let duality = config.directory().unwrap_or(features.directory);
+        // Feature 3 is declared beside the states, and Feature 8's one
+        // engine-visible answer is a walk over them: neither runs the
+        // protocol's arcs.
+        let duality = config.directory().unwrap_or(P::State::DIRECTORY);
         let mut sys = System {
             geometry,
             timing: *config.timing(),
@@ -468,7 +470,7 @@ impl<P: Protocol> System<P> {
             } else {
                 None
             },
-            arbitrated_sources: features.source_policy == SourcePolicy::Arbitrate,
+            arbitrated_sources: SourcePolicy::arbitrated::<P::State>(),
             stats: Stats::new(n),
             trace: match (config.trace(), config.trace_capacity()) {
                 (false, _) => Trace::disabled(),

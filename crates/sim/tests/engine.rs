@@ -7,7 +7,7 @@
 use mcs_cache::CacheConfig;
 use mcs_model::{
     line_states, AccessKind, Addr, BlockAddr, BusOp, BusTxn, CacheId, CompleteOutcome, Event,
-    FeatureSet, Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply,
+    Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopOutcome, SnoopReply,
     SnoopSummary, Word,
 };
 use mcs_protocols::{Illinois, IllinoisState};
@@ -32,13 +32,6 @@ impl Protocol for MiniMsi {
 
     fn name(&self) -> &'static str {
         "mini-msi"
-    }
-
-    fn features(&self) -> FeatureSet {
-        let mut f = FeatureSet::classic_write_through();
-        f.cache_to_cache = true;
-        f.bus_invalidate_signal = true;
-        f
     }
 
     fn proc_access(&self, state: Msi, kind: AccessKind) -> ProcAction<Msi> {

@@ -252,3 +252,73 @@ fn states_reachable_in_simulation_for_every_protocol() {
         });
     }
 }
+
+#[test]
+fn derived_feature_rows_of_the_other_schemes() {
+    // The write-through, hybrid and ablation schemes outside Table 1's six
+    // columns. Every cell but Features 2, 3 and 6 is derived from the arcs.
+    use mcs::model::{FeatureSet, Protocol, WritePolicy};
+    use mcs::protocols::{
+        Berkeley, BerkeleyNonSourceWc, ClassicWriteThrough, Dragon, Firefly, RudolphSegall,
+    };
+
+    let classic = FeatureSet {
+        cache_to_cache: false,
+        c2c_serves_reads: false,
+        distributed: DistributedState { read: true, ..Default::default() },
+        directory: DirectoryDuality::IdenticalDual,
+        bus_invalidate_signal: false,
+        read_for_write: None,
+        atomic_rmw: None,
+        flush_on_transfer: FlushPolicy::Flush,
+        source_policy: SourcePolicy::NoReadSource,
+        write_no_fetch: false,
+        efficient_busy_wait: false,
+        write_policy: WritePolicy::WriteThrough,
+    };
+    assert_eq!(ClassicWriteThrough.features(), classic);
+
+    // The update schemes claim a block without fetching it (Feature 9).
+    let hybrid = FeatureSet {
+        cache_to_cache: true,
+        c2c_serves_reads: true,
+        distributed: DistributedState::RWDS,
+        write_no_fetch: true,
+        write_policy: WritePolicy::Hybrid,
+        ..classic
+    };
+    // No clean Dragon state is a source, so no status travels: NF.
+    assert_eq!(
+        Dragon.features(),
+        FeatureSet {
+            read_for_write: Some(SharingDetermination::Dynamic),
+            flush_on_transfer: FlushPolicy::NoFlush { transfer_status: false },
+            source_policy: SourcePolicy::MemoryOnLoss,
+            ..hybrid
+        }
+    );
+    assert_eq!(
+        Firefly.features(),
+        FeatureSet { read_for_write: Some(SharingDetermination::Dynamic), ..hybrid }
+    );
+    // Rudolph-Segall spins on a copy its write-throughs keep updated.
+    assert_eq!(
+        RudolphSegall.features(),
+        FeatureSet {
+            bus_invalidate_signal: true,
+            atomic_rmw: Some(RmwMethod::HoldMemory),
+            efficient_busy_wait: true,
+            ..hybrid
+        }
+    );
+    // Berkeley's clean write state without source status needs no status
+    // transfer (Section F.3).
+    assert_eq!(
+        BerkeleyNonSourceWc.features(),
+        FeatureSet {
+            flush_on_transfer: FlushPolicy::NoFlush { transfer_status: false },
+            ..Berkeley.features()
+        }
+    );
+    assert_eq!(Berkeley.features().flush_on_transfer, FlushPolicy::NoFlush { transfer_status: true });
+}
