@@ -64,16 +64,19 @@ fi
 # in-simulation watchdog in every cell.
 timeout 300 ./target/release/faultmatrix
 
-# Observability smoke: export a JSONL trace for two E2 contenders and pipe
-# each through the in-tree validator (every line parses, meta header first,
-# cycles monotonically non-decreasing).
+# Observability smoke: export a JSONL trace of two contenders in each cell
+# obsreport opens (E2's and E3's) and pipe each through the in-tree
+# validator (every line parses, meta header first, cycles monotonically
+# non-decreasing).
 OBS_DIR=target/obs-smoke
 mkdir -p "$OBS_DIR"
-for proto in bitar-despain illinois; do
-  out="$OBS_DIR/e2-$proto.jsonl"
-  ./target/release/obsreport --experiment e2 --protocol "$proto" \
-    --json-trace --out "$out"
-  ./target/release/obsreport validate "$out"
+for exp in e2 e3; do
+  for proto in bitar-despain illinois; do
+    out="$OBS_DIR/$exp-$proto.jsonl"
+    ./target/release/obsreport --experiment "$exp" --protocol "$proto" \
+      --json-trace --out "$out"
+    ./target/release/obsreport validate "$out"
+  done
 done
 
 # Benchmark correctness smoke: every simbench workload must reproduce its

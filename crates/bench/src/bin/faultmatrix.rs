@@ -10,12 +10,12 @@
 //! Exits nonzero on any violated expectation. Run via
 //! `cargo run --release -p mcs-bench --bin faultmatrix`.
 
+use mcs_bench::experiments::paired_scheme;
 use mcs_bench::harness::RunSpec;
 use mcs_core::ProtocolKind;
 use mcs_sim::faults::{FaultPlan, WatchdogConfig};
 use mcs_sim::SimError;
 use mcs_sync::LockSchemeKind;
-use mcs_workloads::CriticalSectionWorkload;
 
 const PROTOCOLS: [ProtocolKind; 3] =
     [ProtocolKind::BitarDespain, ProtocolKind::Illinois, ProtocolKind::Dragon];
@@ -87,24 +87,6 @@ const SCENARIOS: [Scenario; 7] = [
     },
 ];
 
-fn workload(kind: ProtocolKind, spec: &RunSpec) -> CriticalSectionWorkload {
-    let scheme = if kind == ProtocolKind::BitarDespain {
-        LockSchemeKind::CacheLock
-    } else {
-        LockSchemeKind::TestAndSet
-    };
-    CriticalSectionWorkload::builder()
-        .scheme(scheme)
-        .words_per_block(spec.words_per_block())
-        .locks(1)
-        .payload_blocks(2)
-        .payload_reads(2)
-        .payload_writes(2)
-        .think_cycles(5)
-        .iterations(6)
-        .build()
-}
-
 /// One cell outcome: a short classification plus the exact stats for the
 /// determinism comparison.
 fn run_cell(kind: ProtocolKind, scenario: &Scenario) -> (String, mcs_model::Stats) {
@@ -112,7 +94,10 @@ fn run_cell(kind: ProtocolKind, scenario: &Scenario) -> (String, mcs_model::Stat
         .faults((scenario.plan)())
         .watchdog(WatchdogConfig::new().check_interval(5_000).stall_threshold(100_000))
         .max_cycles(10_000_000);
-    let run = spec.try_run(&mut workload(kind, &spec), None);
+    let mut workload = spec.critical_section(paired_scheme(kind), |b| {
+        b.locks(1).payload_blocks(2).payload_reads(2).payload_writes(2).think_cycles(5).iterations(6)
+    });
+    let run = spec.try_run(&mut workload, None);
     let label = match (&run.error, run.completed) {
         (Some(SimError::Watchdog(trip)), _) => format!("watchdog({})", trip.kind.id()),
         (Some(SimError::Oracle(_)), _) => "oracle".to_string(),
@@ -144,7 +129,7 @@ fn main() {
                 verdict = format!("  NOT DETERMINISTIC (second run: {again})");
                 failures += 1;
             }
-            let expect = if kind == ProtocolKind::BitarDespain {
+            let expect = if paired_scheme(kind) == LockSchemeKind::CacheLock {
                 scenario.on_cache_lock
             } else {
                 scenario.on_tas

@@ -18,7 +18,8 @@
 //! cycles are monotonically non-decreasing — the same checks `ci.sh` runs
 //! on a fresh trace.
 
-use mcs_bench::obsrun::{run_observed, ObsPreset, ObsSpec};
+use mcs_bench::experiments::{paired_scheme, OBSERVED_CELLS};
+use mcs_bench::obsrun::{run_observed, ObsSpec};
 use mcs_core::ProtocolKind;
 use mcs_obs::validate_line;
 use mcs_sync::LockSchemeKind;
@@ -27,12 +28,13 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: obsreport [--experiment e2|e3] [--protocol ID] [--scheme ID] \
+        "usage: obsreport [--experiment {}] [--protocol ID] [--scheme ID] \
          [--procs N] [--window CYCLES] [--out FILE] \
          [--summary] [--json-trace] [--histograms] [--timeline]\n\
          \x20      obsreport validate FILE...\n\
          protocols: {}\n\
          schemes:   {}",
+        OBSERVED_CELLS.map(|(id, _)| id).join("|"),
         ProtocolKind::ALL.map(|k| k.id()).join(" "),
         LockSchemeKind::ALL.map(|s| s.id()).join(" "),
     );
@@ -106,7 +108,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--experiment" => {
                 let v = value(&mut it, "--experiment");
-                spec.preset = ObsPreset::from_id(&v).unwrap_or_else(|| {
+                spec.cell = OBSERVED_CELLS.into_iter().find(|(id, _)| *id == v).unwrap_or_else(|| {
                     eprintln!("unknown experiment `{v}`");
                     usage()
                 });
@@ -118,7 +120,7 @@ fn main() -> ExitCode {
                     usage()
                 });
                 if !scheme_set {
-                    spec.scheme = ObsSpec::new(spec.kind).scheme;
+                    spec.scheme = paired_scheme(spec.kind);
                 }
             }
             "--scheme" => {
@@ -155,22 +157,27 @@ fn main() -> ExitCode {
     }
     spec.json_trace = json_trace;
 
-    let run = run_observed(&spec);
+    let observed = run_observed(&spec);
+    let run = &observed.run;
 
     let mut out = String::new();
     if summary {
-        out.push_str(&run.summary());
+        out.push_str(&observed.summary());
     }
-    if let Some(jsonl) = &run.jsonl {
+    if let Some(jsonl) = &observed.jsonl {
         out.push_str(jsonl);
     }
     if histograms {
-        out.push_str(&run.hists.to_json());
-        out.push('\n');
+        if let Some(hists) = &run.hists {
+            out.push_str(&hists.to_json());
+            out.push('\n');
+        }
     }
     if timeline {
-        out.push_str(&run.timeline.to_json(run.stats.cycles));
-        out.push('\n');
+        if let Some(sampler) = &run.timeline {
+            out.push_str(&sampler.to_json(run.stats.cycles));
+            out.push('\n');
+        }
     }
 
     match out_path {

@@ -14,6 +14,7 @@ use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
+use mcs_workloads::CriticalSectionBuilder;
 
 /// The compared configurations.
 pub const CONTENDERS: [(ProtocolKind, LockSchemeKind); 4] = [
@@ -23,11 +24,15 @@ pub const CONTENDERS: [(ProtocolKind, LockSchemeKind); 4] = [
     (ProtocolKind::Berkeley, LockSchemeKind::TestAndSet),
 ];
 
-/// Moderate contention: four processors, one lock, short sections.
+/// E2's contended cell: one lock, short sections (one payload block read
+/// twice and written twice), think 30 cycles, 20 sections per processor.
+pub fn cell(b: CriticalSectionBuilder) -> CriticalSectionBuilder {
+    b.locks(1).payload_blocks(1).payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
+}
+
+/// Moderate contention: four processors on [`cell`].
 pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind) -> CsOutcome {
-    run_cs(RunSpec::new(kind), scheme, |b| {
-        b.locks(1).payload_blocks(1).payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
-    })
+    run_cs(RunSpec::new(kind), scheme, cell)
 }
 
 /// Uncontended repeated re-locking by one processor: the zero-time path.

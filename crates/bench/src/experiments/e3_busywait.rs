@@ -16,29 +16,26 @@ use crate::harness::RunSpec;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
+use mcs_workloads::CriticalSectionBuilder;
 
 /// Contention sweep: processor counts.
 pub const PROC_SWEEP: [usize; 4] = [2, 4, 6, 8];
 
-/// One sweep point under heavy contention (one lock, no think time).
-pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> CsOutcome {
-    run_cs(RunSpec::new(kind).procs(procs), scheme, |b| {
-        b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(2).think_cycles(10).iterations(12)
-    })
+/// E3's contended cell: one lock, one payload block read once and written
+/// twice per section, think 10 cycles, 12 sections per processor.
+pub fn cell(b: CriticalSectionBuilder) -> CriticalSectionBuilder {
+    b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(2).think_cycles(10).iterations(12)
 }
 
-/// The work-while-waiting variant: waiters run a ready section.
+/// One sweep point under heavy contention: `procs` processors on [`cell`].
+pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> CsOutcome {
+    run_cs(RunSpec::new(kind).procs(procs), scheme, cell)
+}
+
+/// The work-while-waiting variant of [`cell`]: waiters run a ready section.
 pub fn measure_work_while_waiting(procs: usize) -> CsOutcome {
     let spec = RunSpec::new(ProtocolKind::BitarDespain).procs(procs);
-    run_cs(spec, LockSchemeKind::CacheLock, |b| {
-        b.locks(1)
-            .payload_blocks(1)
-            .payload_reads(1)
-            .payload_writes(2)
-            .think_cycles(10)
-            .iterations(12)
-            .work_while_waiting(1_000_000)
-    })
+    run_cs(spec, LockSchemeKind::CacheLock, |b| cell(b).work_while_waiting(1_000_000))
 }
 
 /// Runs the sweep.

@@ -22,14 +22,14 @@ pub mod e9_transfer_units;
 use crate::harness::RunSpec;
 use crate::report::Report;
 use mcs_cache::CacheConfig;
+use mcs_core::ProtocolKind;
 use mcs_model::Stats;
 use mcs_sync::{LockSchemeKind, LockSchemeStats};
-use mcs_workloads::{
-    CriticalSectionBuilder, CriticalSectionWorkload, RandomSharingConfig, RandomSharingWorkload,
-};
+use mcs_workloads::{CriticalSectionBuilder, RandomSharingConfig, RandomSharingWorkload};
 
-/// Hard ceiling for experiment runs; hitting it means a deadlock.
-const MAX_CYCLES: u64 = 30_000_000;
+/// Hard ceiling for experiment and observed runs; hitting it means a
+/// deadlock.
+pub(crate) const MAX_CYCLES: u64 = 30_000_000;
 
 /// An experiment's runner.
 type Runner = fn() -> Report;
@@ -50,6 +50,25 @@ const EXPERIMENTS: [(&str, Runner); 13] = [
     ("e12", e12_rmw_methods::run),
     ("e13", e13_berkeley_wc::run),
 ];
+
+/// A critical-section cell: the settings one experiment measures, applied
+/// to a builder whose lock scheme and block size are already set.
+pub type Cell = fn(CriticalSectionBuilder) -> CriticalSectionBuilder;
+
+/// The contended cells `obsreport --experiment` opens, by CLI id: the same
+/// functions E2 and E3 measure with.
+pub const OBSERVED_CELLS: [(&str, Cell); 2] =
+    [("e2", e2_locking::cell), ("e3", e3_busywait::cell)];
+
+/// The lock scheme a protocol's lock workloads use: cache-state locking on
+/// Bitar-Despain, whose lock states it needs, and test-and-set elsewhere.
+pub fn paired_scheme(kind: ProtocolKind) -> LockSchemeKind {
+    if kind == ProtocolKind::BitarDespain {
+        LockSchemeKind::CacheLock
+    } else {
+        LockSchemeKind::TestAndSet
+    }
+}
 
 /// A fully associative cache of `blocks` blocks of `words_per_block`
 /// words, for the experiments that sweep or shrink the geometry.
@@ -101,17 +120,14 @@ impl CsOutcome {
 /// Runs a critical-section workload with the given lock `scheme` on the
 /// system `spec` describes, under the experiments' cycle ceiling.
 ///
-/// `configure` tweaks the builder (locks, payload, iterations, …); the
-/// workload lays its atoms out on the spec's block size.
+/// `cell` sets the rest of the workload (locks, payload, iterations, …),
+/// as in [`RunSpec::critical_section`].
 pub fn run_cs(
     spec: RunSpec,
     scheme: LockSchemeKind,
-    configure: impl Fn(CriticalSectionBuilder) -> CriticalSectionBuilder,
+    cell: impl FnOnce(CriticalSectionBuilder) -> CriticalSectionBuilder,
 ) -> CsOutcome {
-    let builder = CriticalSectionWorkload::builder()
-        .scheme(scheme)
-        .words_per_block(spec.words_per_block());
-    let mut workload = configure(builder).build();
+    let mut workload = spec.critical_section(scheme, cell);
     let stats = spec.max_cycles(MAX_CYCLES).run(&mut workload, None).stats;
     CsOutcome {
         stats,

@@ -17,6 +17,8 @@ use mcs_model::Stats;
 use mcs_obs::{EventSink, IntervalSampler, LatencyHists};
 use mcs_sim::faults::{FaultPlan, FaultStats, WatchdogConfig, WatchdogReport};
 use mcs_sim::{SimError, System, SystemConfig, Workload};
+use mcs_sync::LockSchemeKind;
+use mcs_workloads::{CriticalSectionBuilder, CriticalSectionWorkload};
 
 /// Compact description of one benchmark/observed system: protocol, scale,
 /// cache geometry, cycle ceiling, fault and watchdog layers, and which
@@ -125,6 +127,20 @@ impl RunSpec {
         self.config.cache().geometry().words_per_block()
     }
 
+    /// A critical-section workload on lock `scheme`, laid out on this
+    /// spec's block size; `cell` sets the rest (locks, payload, think time,
+    /// iterations, …).
+    pub fn critical_section(
+        &self,
+        scheme: LockSchemeKind,
+        cell: impl FnOnce(CriticalSectionBuilder) -> CriticalSectionBuilder,
+    ) -> CriticalSectionWorkload {
+        let builder = CriticalSectionWorkload::builder()
+            .scheme(scheme)
+            .words_per_block(self.words_per_block());
+        cell(builder).build()
+    }
+
     /// Builds the system, attaches `sink` if given, runs `workload` and
     /// collects the outputs — **never panicking**: a spec that cannot be
     /// built (no processors), a simulation abort (a watchdog trip, an
@@ -196,8 +212,6 @@ impl RunSpec {
 mod tests {
     use super::*;
     use mcs_obs::{JsonlSink, RunMeta};
-    use mcs_sync::LockSchemeKind;
-    use mcs_workloads::CriticalSectionWorkload;
     use std::io;
 
     fn tiny_cs() -> CriticalSectionWorkload {

@@ -3,21 +3,21 @@
 //! non-decreasing, and the whole stream must be byte-stable for a fixed
 //! configuration (the `obsreport --json-trace` acceptance criterion).
 
+use mcs_bench::experiments::{Cell, OBSERVED_CELLS};
 use mcs_bench::harness::RunSpec;
-use mcs_bench::obsrun::{run_observed, ObsPreset, ObsSpec};
+use mcs_bench::obsrun::{run_observed, ObsSpec};
 use mcs_core::ProtocolKind;
 use mcs_obs::{validate_line, EventSink, JsonlSink, RunMeta, SharedBuf};
 use mcs_sim::faults::{FaultPlan, WatchdogConfig};
 use mcs_sim::SimError;
 use mcs_sync::LockSchemeKind;
-use mcs_workloads::CriticalSectionWorkload;
 
-fn spec(kind: ProtocolKind, preset: ObsPreset) -> ObsSpec {
-    let mut s = ObsSpec::new(kind);
-    s.preset = preset;
-    s.json_trace = true;
-    s
+fn spec(kind: ProtocolKind, cell: (&'static str, Cell)) -> ObsSpec {
+    ObsSpec { cell, json_trace: true, ..ObsSpec::new(kind) }
 }
+
+const E2: (&str, Cell) = OBSERVED_CELLS[0];
+const E3: (&str, Cell) = OBSERVED_CELLS[1];
 
 /// Validates one JSONL stream: header first, every line parses, cycles
 /// monotone. Returns the line count.
@@ -48,10 +48,10 @@ fn validate_stream(label: &str, jsonl: &str) -> u64 {
 #[test]
 fn jsonl_streams_are_valid_and_monotonic() {
     for kind in [ProtocolKind::BitarDespain, ProtocolKind::Illinois, ProtocolKind::Goodman] {
-        for preset in [ObsPreset::E2, ObsPreset::E3] {
-            let run = run_observed(&spec(kind, preset));
+        for cell in OBSERVED_CELLS {
+            let run = run_observed(&spec(kind, cell));
             let jsonl = run.jsonl.as_deref().expect("trace requested");
-            let label = format!("{}/{}", kind.id(), preset.id());
+            let label = format!("{}/{}", kind.id(), cell.0);
             let lines = validate_stream(&label, jsonl);
             assert!(lines > 10, "{label}: suspiciously short trace ({lines} lines)");
             assert!(
@@ -64,7 +64,7 @@ fn jsonl_streams_are_valid_and_monotonic() {
 
 #[test]
 fn jsonl_stream_is_byte_stable() {
-    let s = spec(ProtocolKind::BitarDespain, ObsPreset::E2);
+    let s = spec(ProtocolKind::BitarDespain, E2);
     let a = run_observed(&s).jsonl.expect("trace requested");
     let b = run_observed(&s).jsonl.expect("trace requested");
     assert_eq!(a, b, "same spec must give a byte-identical stream");
@@ -72,8 +72,10 @@ fn jsonl_stream_is_byte_stable() {
 
 #[test]
 fn histogram_and_timeline_exports_are_valid_json() {
-    let run = run_observed(&spec(ProtocolKind::BitarDespain, ObsPreset::E3));
-    for json in [run.hists.to_json(), run.timeline.to_json(run.stats.cycles)] {
+    let run = run_observed(&spec(ProtocolKind::BitarDespain, E3)).run;
+    let hists = run.hists.expect("observed runs record histograms");
+    let timeline = run.timeline.expect("observed runs record a timeline");
+    for json in [hists.to_json(), timeline.to_json(run.stats.cycles)] {
         validate_line(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
     }
 }
@@ -105,7 +107,7 @@ const E2_STREAMS: [(ProtocolKind, usize, u64); 10] = [
 fn e2_streams_of_every_protocol_match_their_recorded_digests() {
     let mut got = Vec::new();
     for kind in ProtocolKind::ALL {
-        let jsonl = run_observed(&spec(kind, ObsPreset::E2)).jsonl.expect("trace requested");
+        let jsonl = run_observed(&spec(kind, E2)).jsonl.expect("trace requested");
         got.push((kind, jsonl.lines().count(), digest(&jsonl)));
     }
     let table: String = got
@@ -126,16 +128,9 @@ fn fault_stream() -> (String, Option<SimError>) {
             FaultPlan::new(0xDEAD).lose_unlock(500).busy_wait_timeout(2_000).starve(0, u64::MAX),
         )
         .watchdog(WatchdogConfig::new().check_interval(1_000).stall_threshold(20_000));
-    let mut workload = CriticalSectionWorkload::builder()
-        .scheme(LockSchemeKind::CacheLock)
-        .words_per_block(run.words_per_block())
-        .locks(1)
-        .payload_blocks(1)
-        .payload_reads(2)
-        .payload_writes(2)
-        .think_cycles(30)
-        .iterations(20)
-        .build();
+    let mut workload = run.critical_section(LockSchemeKind::CacheLock, |b| {
+        b.locks(1).payload_blocks(1).payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
+    });
     let buf = SharedBuf::new();
     let meta =
         RunMeta::new().with_str("protocol", kind.id()).with_str("faults", "lost-unlock+starve");

@@ -283,11 +283,6 @@ impl Trace {
         self.enabled
     }
 
-    /// The ring-buffer capacity, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Events evicted from the front of a bounded trace so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -326,14 +321,6 @@ impl Trace {
         self.events.iter().cloned().collect()
     }
 
-    /// Iterates events matching `pred`.
-    pub fn filter<'a, F>(&'a self, pred: F) -> impl Iterator<Item = &'a (u64, Event)>
-    where
-        F: Fn(&Event) -> bool + 'a,
-    {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
-
     /// Renders the whole trace, one event per line, as used by the figure
     /// regeneration binary. A bounded trace that has dropped events leads
     /// with a marker line saying how many.
@@ -347,12 +334,6 @@ impl Trace {
             let _ = writeln!(out, "[{cycle:>6}] {e}");
         }
         out
-    }
-
-    /// Clears all recorded events and the drop counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
     }
 }
 
@@ -380,15 +361,11 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].0, 1);
         assert_eq!(events[1].0, 5);
-        assert_eq!(t.capacity(), None);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]
     fn bounded_trace_keeps_most_recent_and_counts_drops() {
         let mut t = Trace::bounded(3);
-        assert_eq!(t.capacity(), Some(3));
         for c in 0..5 {
             t.push(c, Event::Note(format!("e{c}")));
         }
@@ -398,9 +375,6 @@ mod tests {
         assert_eq!(cycles, vec![2, 3, 4]);
         let rendered = t.render();
         assert!(rendered.starts_with("[... 2 earlier events dropped ...]"), "{rendered}");
-        t.clear();
-        assert_eq!(t.dropped(), 0);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -411,16 +385,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.to_vec()[0].0, 1);
-    }
-
-    #[test]
-    fn filter_selects_events() {
-        let mut t = Trace::enabled();
-        t.push(0, Event::Note("a".into()));
-        t.push(1, Event::Flush { cache: CacheId(0), block: BlockAddr(1) });
-        t.push(2, Event::Note("b".into()));
-        let notes: Vec<_> = t.filter(|e| matches!(e, Event::Note(_))).collect();
-        assert_eq!(notes.len(), 2);
     }
 
     #[test]

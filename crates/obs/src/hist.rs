@@ -110,17 +110,6 @@ impl Hist64 {
         &self.buckets
     }
 
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &Hist64) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// The `q`-quantile (`q` in `[0, 1]`) as a deterministic upper bound:
     /// the inclusive upper edge of the bucket containing the sample of rank
     /// `ceil(q * count)`, clamped to the observed maximum. `None` when the
@@ -349,20 +338,6 @@ mod tests {
         h.record(65); // bucket [64,127]
         h.record(66);
         assert_eq!(h.p99(), Some(66), "clamp to max, not the bucket edge 127");
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Hist64::new();
-        a.record(1);
-        a.record(1000);
-        let mut b = Hist64::new();
-        b.record(0);
-        b.record(u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.min(), Some(0));
-        assert_eq!(a.max(), Some(u64::MAX));
     }
 
     #[test]

@@ -15,6 +15,9 @@
 use mcs_model::{Addr, ProcId, ProcOp, Word};
 use mcs_sim::{AccessResult, WorkItem, Workload};
 
+/// Compute time between a hop's restore and its save.
+const COMPUTE_CYCLES: u64 = 50;
+
 /// The migrating-process workload.
 #[derive(Debug)]
 pub struct MigrationWorkload {
@@ -23,7 +26,6 @@ pub struct MigrationWorkload {
     words_per_block: usize,
     hops: usize,
     use_write_no_fetch: bool,
-    compute_cycles: u64,
     active: usize,
     hops_done: usize,
     phase: Phase,
@@ -50,7 +52,6 @@ impl MigrationWorkload {
             words_per_block: 4,
             hops,
             use_write_no_fetch,
-            compute_cycles: 50,
             active: 0,
             hops_done: 0,
             phase: Phase::Restore { block: 0 },
@@ -62,12 +63,6 @@ impl MigrationWorkload {
     /// Sets the words-per-block layout (default 4; must match the system).
     pub fn with_words_per_block(mut self, words: usize) -> Self {
         self.words_per_block = words.max(1);
-        self
-    }
-
-    /// Sets the compute time between restore and save.
-    pub fn with_compute_cycles(mut self, cycles: u64) -> Self {
-        self.compute_cycles = cycles;
         self
     }
 
@@ -126,7 +121,7 @@ impl Workload for MigrationWorkload {
             }
             Phase::Compute => {
                 self.phase = Phase::Save { block: 0, word: 0 };
-                WorkItem::Compute(self.compute_cycles)
+                WorkItem::Compute(COMPUTE_CYCLES)
             }
             Phase::Save { block, word } => {
                 self.in_flight = true;
