@@ -4,7 +4,8 @@
 # snoop-filter, engine, fault and JSONL-digest tests again without them,
 # clippy with warnings denied (which also rejects
 # unwrap/expect/unreachable!/panic! in non-test mcs-model, mcs-cache,
-# mcs-protocols, mcs-core, mcs-sim, mcs-obs and mcs-faults code), rustdoc with warnings denied (a broken
+# mcs-protocols, mcs-core, mcs-sim, mcs-obs, mcs-faults and mcs-workloads
+# code), rustdoc with warnings denied (a broken
 # intra-doc link fails), fault and observability smoke runs, and a
 # benchmark smoke that checks every simbench workload's golden digests and
 # a calibrated throughput floor on dense_sharing. No network access required or attempted.
@@ -40,9 +41,10 @@ cargo test -q --offline -p mcs-sim --no-default-features --test golden_stats --t
 # builds the simulator without debug-checks, as simbench does.
 cargo test -q --offline -p mcs-bench --test obs_smoke
 # Warnings denied. mcs-model, mcs-cache, mcs-protocols, mcs-core, mcs-sim,
-# mcs-obs and mcs-faults warn on `unwrap`/`expect`/`unreachable!`/`panic!`
-# outside tests, so a panicking path in the engine, a protocol, a sink, the
-# cache store or a fault plan fails here: a closed pipe cannot abort a run, and a broken
+# mcs-obs, mcs-faults and mcs-workloads warn on
+# `unwrap`/`expect`/`unreachable!`/`panic!` outside tests, so a panicking
+# path in the engine, a protocol, a sink, the cache store, a fault plan or
+# a workload fails here: a closed pipe cannot abort a run, and a broken
 # invariant surfaces as a typed error.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Rustdoc warnings denied too: an intra-doc link to a renamed or deleted

@@ -22,7 +22,7 @@ pub mod e9_transfer_units;
 use crate::harness::RunSpec;
 use crate::report::Report;
 use mcs_cache::CacheConfig;
-use mcs_core::ProtocolKind;
+use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::Stats;
 use mcs_sync::{LockSchemeKind, LockSchemeStats};
 use mcs_workloads::{CriticalSectionBuilder, RandomSharingConfig, RandomSharingWorkload};
@@ -60,14 +60,10 @@ pub type Cell = fn(CriticalSectionBuilder) -> CriticalSectionBuilder;
 pub const OBSERVED_CELLS: [(&str, Cell); 2] =
     [("e2", e2_locking::cell), ("e3", e3_busywait::cell)];
 
-/// The lock scheme a protocol's lock workloads use: cache-state locking on
-/// Bitar-Despain, whose lock states it needs, and test-and-set elsewhere.
+/// The lock scheme `kind`'s lock workloads use (see
+/// [`LockSchemeKind::paired_with`]).
 pub fn paired_scheme(kind: ProtocolKind) -> LockSchemeKind {
-    if kind == ProtocolKind::BitarDespain {
-        LockSchemeKind::CacheLock
-    } else {
-        LockSchemeKind::TestAndSet
-    }
+    with_protocol!(kind, p => LockSchemeKind::paired_with(&p))
 }
 
 /// A fully associative cache of `blocks` blocks of `words_per_block`

@@ -24,6 +24,21 @@ fn table2_renders() {
     assert!(text.contains("Our proposal"));
 }
 
+/// Only Bitar-Despain has the lock states cache-state locking needs; every
+/// other protocol's lock workloads spin on test-and-set.
+#[test]
+fn paired_scheme_is_cache_lock_only_with_lock_states() {
+    use mcs_sync::LockSchemeKind;
+    for kind in ProtocolKind::ALL {
+        let want = if kind == ProtocolKind::BitarDespain {
+            LockSchemeKind::CacheLock
+        } else {
+            LockSchemeKind::TestAndSet
+        };
+        assert_eq!(experiments::paired_scheme(kind), want, "{kind}");
+    }
+}
+
 #[test]
 fn experiment_lookup_covers_e1_through_e13() {
     for i in 1..=13 {

@@ -428,18 +428,20 @@ pub struct WatchdogReport {
 
 /// Per-processor forward-progress monitor.
 ///
-/// The engine feeds it retirements ([`Watchdog::note_progress`]) and bus
-/// transactions ([`Watchdog::note_bus_txn`]); every `check_interval`
-/// cycles it scans the processors the engine says have an outstanding
-/// operation and trips when one has retired nothing for longer than the
-/// stall threshold. The check mutates only the watchdog itself, so
-/// enabling it cannot change simulation results — only end them early.
+/// The engine feeds it retirements ([`Watchdog::note_progress`]) and, at
+/// [`Watchdog::reset`] and each [`Watchdog::check`], the run's bus
+/// transaction count so far; every `check_interval` cycles it scans the
+/// processors the engine says have an outstanding operation and trips when
+/// one has retired nothing for longer than the stall threshold. The check
+/// mutates only the watchdog itself, so enabling it cannot change
+/// simulation results — only end them early.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     cfg: WatchdogConfig,
     last_progress: Vec<u64>,
     next_check: u64,
-    txns_since_check: u64,
+    /// The bus transaction count at the last check (or reset).
+    txns_at_check: u64,
     checks: u64,
     max_stall: u64,
 }
@@ -451,7 +453,7 @@ impl Watchdog {
             cfg,
             last_progress: vec![0; procs],
             next_check: cfg.check_interval,
-            txns_since_check: 0,
+            txns_at_check: 0,
             checks: 0,
             max_stall: 0,
         }
@@ -462,25 +464,20 @@ impl Watchdog {
         &self.cfg
     }
 
-    /// Re-arms the watchdog at `now` (a fresh workload over a warm system).
-    pub fn reset(&mut self, now: u64) {
+    /// Re-arms the watchdog at `now`, when `txns` bus transactions have
+    /// been made (a fresh workload over a warm system).
+    pub fn reset(&mut self, now: u64, txns: u64) {
         for p in &mut self.last_progress {
             *p = now;
         }
-        self.next_check = now + self.cfg.check_interval;
-        self.txns_since_check = 0;
+        self.next_check = now.saturating_add(self.cfg.check_interval);
+        self.txns_at_check = txns;
     }
 
     /// Records that `proc` retired a reference at `cycle`.
     #[inline]
     pub fn note_progress(&mut self, proc: usize, cycle: u64) {
         self.last_progress[proc] = cycle;
-    }
-
-    /// Records one bus transaction (for the livelock/deadlock split).
-    #[inline]
-    pub fn note_bus_txn(&mut self) {
-        self.txns_since_check += 1;
     }
 
     /// Is a check due at `now`?
@@ -497,22 +494,25 @@ impl Watchdog {
         self.next_check
     }
 
-    /// Runs one forward-progress check at `now`. `outstanding(i)` must
-    /// return whether processor `i` currently has an operation in flight
-    /// (queued, granted, busy-waiting, or backing off) — processors that
-    /// are computing, voluntarily idle, or done cannot stall.
+    /// Runs one forward-progress check at `now`, when `txns` bus
+    /// transactions have been made; any made since the last check split a
+    /// livelock from a deadlock. `outstanding(i)` must return whether
+    /// processor `i` currently has an operation in flight (queued, granted,
+    /// busy-waiting, or backing off) — processors that are computing,
+    /// voluntarily idle, or done cannot stall.
     ///
     /// Returns the stall classification, the longest-stalled processor,
     /// and its no-progress span, or `None` when everything is live.
     pub fn check(
         &mut self,
         now: u64,
+        txns: u64,
         outstanding: impl Fn(usize) -> bool,
     ) -> Option<(StallKind, usize, u64)> {
         self.checks += 1;
-        self.next_check = now + self.cfg.check_interval;
-        let txns = self.txns_since_check;
-        self.txns_since_check = 0;
+        self.next_check = now.saturating_add(self.cfg.check_interval);
+        let bus_moved = txns > self.txns_at_check;
+        self.txns_at_check = txns;
 
         let mut active = 0usize;
         let mut stalled = 0usize;
@@ -533,7 +533,7 @@ impl Watchdog {
         }
         let (proc, span) = worst?;
         let kind = if stalled == active {
-            if txns > 0 {
+            if bus_moved {
                 StallKind::Livelock
             } else {
                 StallKind::Deadlock
@@ -638,7 +638,7 @@ mod tests {
         for now in (10..200).step_by(10) {
             wd.note_progress(0, now);
             wd.note_progress(1, now);
-            assert_eq!(wd.check(now, |_| true), None);
+            assert_eq!(wd.check(now, 0, |_| true), None);
         }
         let r = wd.report();
         assert!(r.checks > 0);
@@ -650,20 +650,21 @@ mod tests {
         let cfg = WatchdogConfig::new().check_interval(10).stall_threshold(50);
         // Deadlock: all outstanding procs stalled, no bus traffic.
         let mut wd = Watchdog::new(2, cfg);
-        assert_eq!(wd.check(100, |_| true), Some((StallKind::Deadlock, 0, 100)));
+        assert_eq!(wd.check(100, 0, |_| true), Some((StallKind::Deadlock, 0, 100)));
         // Livelock: all stalled but the bus kept cycling.
         let mut wd = Watchdog::new(2, cfg);
-        wd.note_bus_txn();
-        assert_eq!(wd.check(100, |_| true), Some((StallKind::Livelock, 0, 100)));
+        assert_eq!(wd.check(100, 1, |_| true), Some((StallKind::Livelock, 0, 100)));
+        // The next check sees no new transaction: a deadlock.
+        assert_eq!(wd.check(200, 1, |_| true), Some((StallKind::Deadlock, 0, 200)));
         // Starvation: proc 1 progresses, proc 0 does not.
         let mut wd = Watchdog::new(2, cfg);
         wd.note_progress(1, 95);
-        assert_eq!(wd.check(100, |_| true), Some((StallKind::Starvation, 0, 100)));
+        assert_eq!(wd.check(100, 0, |_| true), Some((StallKind::Starvation, 0, 100)));
         // Non-outstanding procs never stall.
         let mut wd = Watchdog::new(2, cfg);
-        assert_eq!(wd.check(100, |i| i == 1), Some((StallKind::Deadlock, 1, 100)));
+        assert_eq!(wd.check(100, 0, |i| i == 1), Some((StallKind::Deadlock, 1, 100)));
         let mut wd = Watchdog::new(2, cfg);
-        assert_eq!(wd.check(100, |_| false), None);
+        assert_eq!(wd.check(100, 0, |_| false), None);
     }
 
     #[test]
@@ -673,17 +674,17 @@ mod tests {
         wd.note_progress(0, 80);
         wd.note_progress(1, 20);
         wd.note_progress(2, 60);
-        assert_eq!(wd.check(100, |_| true), Some((StallKind::Deadlock, 1, 80)));
+        assert_eq!(wd.check(100, 0, |_| true), Some((StallKind::Deadlock, 1, 80)));
     }
 
     #[test]
     fn watchdog_reset_rebases_progress() {
         let cfg = WatchdogConfig::new().check_interval(10).stall_threshold(50);
         let mut wd = Watchdog::new(1, cfg);
-        wd.reset(1000);
+        wd.reset(1000, 0);
         assert_eq!(wd.next_check_at(), 1010);
-        assert_eq!(wd.check(1020, |_| true), None, "20 < threshold after rebase");
-        assert!(wd.check(1100, |_| true).is_some());
+        assert_eq!(wd.check(1020, 0, |_| true), None, "20 < threshold after rebase");
+        assert!(wd.check(1100, 0, |_| true).is_some());
     }
 
     #[test]

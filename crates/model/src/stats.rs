@@ -161,7 +161,7 @@ pub struct SourceStats {
 /// Directory-interference counters (Feature 3).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirectoryStats {
-    /// Directory accesses from the processor side.
+    /// Directory accesses from the processor side (one per reference).
     pub proc_accesses: u64,
     /// Directory accesses from the bus side (snoops).
     pub bus_accesses: u64,
@@ -170,7 +170,8 @@ pub struct DirectoryStats {
     pub dirty_status_updates: u64,
     /// Waiter-status updates by the bus controller (lock-waiter entry).
     pub waiter_status_updates: u64,
-    /// Interference stall cycles charged by the directory model.
+    /// Interference stall cycles: the status updates, each priced by
+    /// [`crate::DirectoryDuality::interference_per_update`].
     pub interference_cycles: u64,
 }
 

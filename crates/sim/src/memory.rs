@@ -97,18 +97,6 @@ impl MainMemory {
         }
     }
 
-    fn zero_block(&self) -> Box<[Word]> {
-        vec![Word(0); self.geometry.words_per_block()].into_boxed_slice()
-    }
-
-    /// Reads a whole block.
-    pub fn read_block(&self, block: BlockAddr) -> Box<[Word]> {
-        match self.blocks.get(&block) {
-            Some(data) => data.clone(),
-            None => self.zero_block(),
-        }
-    }
-
     /// Reads a whole block without copying. Returns `None` when the block
     /// was never written (reads as zero); the caller zero-fills.
     pub fn read_block_ref(&self, block: BlockAddr) -> Option<&[Word]> {
@@ -248,7 +236,7 @@ mod tests {
     fn unwritten_reads_zero() {
         let m = mem();
         assert_eq!(m.read_word(Addr(100)), Word(0));
-        assert!(m.read_block(BlockAddr(9)).iter().all(|w| *w == Word(0)));
+        assert!(m.read_block_ref(BlockAddr(9)).is_none(), "an unwritten block is not stored");
     }
 
     #[test]
@@ -257,8 +245,8 @@ mod tests {
         m.write_word(Addr(5), Word(42));
         assert_eq!(m.read_word(Addr(5)), Word(42));
         assert_eq!(m.read_word(Addr(4)), Word(0));
-        let block = m.read_block(BlockAddr(1));
-        assert_eq!(block[1], Word(42));
+        let block = m.read_block_ref(BlockAddr(1)).unwrap();
+        assert_eq!(block, [Word(0), Word(42), Word(0), Word(0)]);
     }
 
     #[test]
@@ -285,8 +273,8 @@ mod tests {
         let mut m = mem();
         assert!(m.read_block_ref(BlockAddr(3)).is_none(), "unwritten block");
         m.write_block(BlockAddr(3), &[Word(1), Word(2), Word(3), Word(4)]);
-        let via_copy = m.read_block(BlockAddr(3));
-        assert_eq!(m.read_block_ref(BlockAddr(3)).unwrap(), &via_copy[..]);
+        let via_words: Vec<Word> = (12..16).map(|a| m.read_word(Addr(a))).collect();
+        assert_eq!(m.read_block_ref(BlockAddr(3)).unwrap(), &via_words[..]);
     }
 
     #[test]

@@ -284,6 +284,25 @@ fn io_transfers_snoop_like_every_bus_transaction() {
     assert_eq!(s.stats().bus.count("io-input"), 1);
 }
 
+/// A cycle count of `u64::MAX` means "no limit": a run ceiling of
+/// `u64::MAX` on a warm system, and a workload computing for `u64::MAX`
+/// cycles, saturate at the end of time instead of overflowing
+/// `now + cycles`.
+#[test]
+fn u64_max_cycle_counts_saturate() {
+    let mut s = sys(2);
+    for run in 0..2 {
+        let mut w = ScriptWorkload::new(vec![(ProcId(0), ProcOp::read(Addr(0)))]);
+        let report = s.run(&mut w, u64::MAX).unwrap_or_else(|e| panic!("run {run}: {e}"));
+        assert!(report.completed, "run {run} did not complete");
+    }
+    let start = s.now();
+    let mut forever = ParallelScriptWorkload::new().program(ProcId(0), vec![Compute(u64::MAX)]);
+    let report = s.run(&mut forever, 1_000).unwrap();
+    assert!(!report.completed, "the computation outlasts the ceiling");
+    assert_eq!(s.now(), start + 1_000);
+}
+
 #[test]
 fn determinism_same_script_same_stats() {
     let script = vec![

@@ -143,11 +143,7 @@ fn assert_equivalent_on<W: Workload>(
 /// Bitar-Despain, a test-and-set loop (plain RMW, supported everywhere)
 /// otherwise.
 fn scheme_for(kind: ProtocolKind) -> LockSchemeKind {
-    if kind == ProtocolKind::BitarDespain {
-        LockSchemeKind::CacheLock
-    } else {
-        LockSchemeKind::TestAndSet
-    }
+    with_protocol!(kind, p => LockSchemeKind::paired_with(&p))
 }
 
 #[test]

@@ -104,11 +104,7 @@ fn words_for(kind: ProtocolKind) -> usize {
 }
 
 fn scheme_for(kind: ProtocolKind) -> LockSchemeKind {
-    if kind == ProtocolKind::BitarDespain {
-        LockSchemeKind::CacheLock
-    } else {
-        LockSchemeKind::TestAndSet
-    }
+    with_protocol!(kind, p => LockSchemeKind::paired_with(&p))
 }
 
 /// What a finished run leaves behind: its statistics, fault counters and
@@ -146,7 +142,7 @@ fn run_on<W: Workload>(
         Outcome {
             stats: report.stats,
             faults: report.faults,
-            directories: (0..procs).map(|c| sys.directory_stats(CacheId(c)).clone()).collect(),
+            directories: (0..procs).map(|c| sys.directory_stats(CacheId(c))).collect(),
         }
     })
 }

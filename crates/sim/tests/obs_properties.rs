@@ -19,11 +19,7 @@ const MAX_CYCLES: u64 = 2_000_000;
 const WINDOW: u64 = 250;
 
 fn scheme_for(kind: ProtocolKind) -> LockSchemeKind {
-    if kind == ProtocolKind::BitarDespain {
-        LockSchemeKind::CacheLock
-    } else {
-        LockSchemeKind::TestAndSet
-    }
+    with_protocol!(kind, p => LockSchemeKind::paired_with(&p))
 }
 
 /// Runs `make`'s workload to completion on `kind` with full observability,
@@ -118,7 +114,7 @@ fn critical_section_reconciles_on_all_protocols() {
                 .iterations(8)
                 .build()
         });
-        if kind == ProtocolKind::BitarDespain {
+        if scheme_for(kind) == LockSchemeKind::CacheLock {
             // Only the cache-state lock scheme surfaces acquisitions to the
             // system's LockStats; test-and-set spins via plain RMWs.
             assert!(stats.locks.acquires > 0, "{kind}: lock workload must acquire");

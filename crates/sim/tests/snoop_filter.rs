@@ -176,13 +176,8 @@ fn lock_workload(
 #[test]
 fn holder_bitmask_exact_under_lock_contention() {
     for kind in ProtocolKind::ALL {
-        let scheme = if kind == ProtocolKind::BitarDespain {
-            LockSchemeKind::CacheLock
-        } else {
-            LockSchemeKind::TestAndSet
-        };
-        let mut w = lock_workload(kind, scheme, 5);
         with_protocol!(kind, p => {
+            let mut w = lock_workload(kind, LockSchemeKind::paired_with(&p), 5);
             let cfg = SystemConfig::new(4).with_cache(tiny_cache(kind));
             let mut sys = System::new(p, cfg).expect("valid system");
             sys.run(&mut w, 2_000_000).unwrap_or_else(|e| panic!("{kind}: {e}"));

@@ -1,6 +1,6 @@
 //! Lock acquisition/release state machines.
 
-use mcs_model::{Addr, ProcOp, Word};
+use mcs_model::{Addr, LineState, ProcOp, Protocol, Word};
 use mcs_sim::AccessResult;
 
 /// Which busy-wait locking scheme to use (Section E.4, "Basic Approaches",
@@ -34,6 +34,18 @@ impl LockSchemeKind {
     /// Parses a CLI identifier (the inverse of [`id`](Self::id)).
     pub fn from_id(id: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|s| s.id() == id)
+    }
+
+    /// The scheme a lock workload on `protocol` uses: cache-state locking
+    /// when one of its states holds the Lock privilege the lock
+    /// instruction needs (Bitar-Despain's), test-and-set (a plain atomic
+    /// read-modify-write, which every protocol runs) otherwise.
+    pub fn paired_with<P: Protocol>(_protocol: &P) -> Self {
+        if P::State::all().iter().any(|s| s.descriptor().is_locked()) {
+            LockSchemeKind::CacheLock
+        } else {
+            LockSchemeKind::TestAndSet
+        }
     }
 
     /// The operation releasing the lock at `addr`, storing `value` in the

@@ -22,6 +22,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test workload code must not panic: the engine calls `next` and
+// `complete` on every reference. Tests keep their unwraps. CI promotes
+// these warnings to errors via `cargo clippy -- -D warnings`.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::unreachable, clippy::panic)
+)]
 
 mod critical_section;
 mod migration;

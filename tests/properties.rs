@@ -81,7 +81,8 @@ fn runs_are_deterministic() {
 }
 
 /// Cache structural invariants: residency never exceeds capacity, a tag
-/// appears at most once, and lookups always return the inserted tag.
+/// appears at most once, and the inserted block is always resident in the
+/// state just written.
 #[test]
 fn cache_structure_invariants() {
     line_states! {
@@ -98,13 +99,14 @@ fn cache_structure_invariants() {
         let mut cache: Cache<Tiny> = Cache::new(config);
         for _ in 0..len {
             let b = rng.gen_range_u64(0..64);
-            cache.ensure_frame(BlockAddr(b)).unwrap();
+            cache.ensure_frame_with(BlockAddr(b), false, &mut Vec::new()).unwrap();
             assert!(cache.set_state(BlockAddr(b), Tiny::Valid));
             assert!(cache.resident() <= 8, "case {case}");
-            assert_eq!(cache.lookup(BlockAddr(b)).map(|l| l.tag), Some(BlockAddr(b)));
+            assert!(cache.is_resident(BlockAddr(b)), "case {case}");
+            assert_eq!(cache.state_of(BlockAddr(b)), Tiny::Valid, "case {case}");
         }
         // No duplicate tags.
-        let mut tags: Vec<_> = cache.lines().map(|l| l.tag).collect();
+        let mut tags: Vec<_> = cache.lines().collect();
         let before = tags.len();
         tags.sort();
         tags.dedup();
